@@ -1,8 +1,10 @@
 #include "bench/harness.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "exp/driver.hpp"
@@ -17,9 +19,6 @@ const char* Options::usage() {
          "  --seed N     base workload seed (default 1)\n"
          "  --seeds N    independent trials averaged per point (default 1)\n"
          "  --quick      1/4-length run for smoke testing\n"
-         "  --shards N   channel shards per simulated point (default\n"
-         "               $LATDIV_SHARDS or 1; results are byte-identical\n"
-         "               at any value)\n"
          "sweep-engine options (manifest-backed benches):\n"
          "  --jobs N     executor threads (default 1)\n"
          "  --filter S   keep only sweep points whose id contains S\n"
@@ -33,20 +32,6 @@ const char* Options::usage() {
 
 Options Options::parse(int argc, char** argv) {
   Options opts;
-  const auto shard_count = [&](const char* origin,
-                               const char* text) -> std::uint32_t {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0 || v > 4096) {
-      std::fprintf(stderr, "%s: %s wants a shard count >= 1, got '%s'\n",
-                   argv[0], origin, text);
-      std::exit(2);
-    }
-    return static_cast<std::uint32_t>(v);
-  };
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    opts.shards = shard_count("LATDIV_SHARDS", env);
-  }
   const auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s: %s needs a value\n%s", argv[0], argv[i],
@@ -55,17 +40,17 @@ Options Options::parse(int argc, char** argv) {
     }
     return argv[++i];
   };
-  const auto number = [&](int& i) -> std::uint64_t {
+  const auto number = [&](int& i,
+                          std::uint64_t max = UINT64_MAX) -> std::uint64_t {
     const char* flag = argv[i];
     const char* text = value(i);
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", argv[0], flag,
-                   text);
+    const std::optional<std::uint64_t> v = exp::parse_uint(text, max);
+    if (!v) {
+      std::fprintf(stderr, "%s: %s wants a number in [0, %llu], got '%s'\n",
+                   argv[0], flag, static_cast<unsigned long long>(max), text);
       std::exit(2);
     }
-    return v;
+    return *v;
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cycles") == 0) {
@@ -75,13 +60,11 @@ Options Options::parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       opts.seed = number(i);
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      opts.seeds = static_cast<std::uint32_t>(number(i));
+      opts.seeds = static_cast<std::uint32_t>(number(i, UINT32_MAX));
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opts.shards = shard_count("--shards", value(i));
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.jobs = static_cast<unsigned>(number(i));
+      opts.jobs = static_cast<unsigned>(number(i, UINT32_MAX));
     } else if (std::strcmp(argv[i], "--filter") == 0) {
       opts.filter = value(i);
     } else if (std::strcmp(argv[i], "--out") == 0) {
@@ -102,6 +85,10 @@ Options Options::parse(int argc, char** argv) {
                    argv[0], argv[i], argv[0], usage());
       std::exit(2);
     }
+  }
+  if (opts.seeds == 0) {
+    std::fprintf(stderr, "%s: --seeds must be > 0\n", argv[0]);
+    std::exit(2);
   }
   // Apply --quick last so it composes with --cycles in any flag order.
   if (opts.quick) {
@@ -126,7 +113,6 @@ int run_figure(const std::string& manifest, const Options& opts) {
   args.check = opts.check;
   args.timings = opts.timings;
   args.progress = !opts.quiet;
-  args.shards = opts.shards;
   return exp::run_manifest(manifest, args);
 }
 
@@ -138,7 +124,6 @@ RunResult run_point(const WorkloadProfile& workload, SchedulerKind scheduler,
   cfg.max_cycles = opts.cycles;
   cfg.warmup_cycles = opts.warmup;
   cfg.seed = opts.seed;
-  cfg.shards = opts.shards;
   if (hook) hook(cfg);
   Simulator sim(cfg);
   return sim.run();

@@ -8,12 +8,15 @@
 //   ./examples/run_json --workload spmv --scheduler WG-W
 //       --cycles 100000 --seed 3
 //   ./examples/run_json --list          # available workloads/schedulers
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/driver.hpp"
 #include "exp/executor.hpp"
 #include "exp/reporter.hpp"
 #include "sim/simulator.hpp"
@@ -54,21 +57,16 @@ int main(int argc, char** argv) {
   point.cycles = 100'000;
   point.warmup = 10'000;
 
-  // Channel shards (parallel core).  Output bytes are contractually
-  // identical at any value, so this is safe to default from the env.
-  unsigned long shards = 1;
-  const auto parse_shards = [&](const char* origin, const char* text) {
-    char* end = nullptr;
-    shards = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || shards == 0 || shards > 4096) {
-      std::fprintf(stderr, "%s: %s wants a shard count >= 1, got '%s'\n",
-                   argv[0], origin, text);
+  const auto number = [&](const char* flag,
+                          const char* text) -> std::uint64_t {
+    const std::optional<std::uint64_t> v = exp::parse_uint(text);
+    if (!v) {
+      std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", argv[0],
+                   flag, text);
       std::exit(2);
     }
+    return *v;
   };
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    parse_shards("LATDIV_SHARDS", env);
-  }
 
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> const char* {
@@ -82,32 +80,22 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--scheduler") == 0) {
       scheduler = value();
     } else if (std::strcmp(argv[i], "--cycles") == 0) {
-      point.cycles = std::strtoull(value(), nullptr, 10);
+      point.cycles = number("--cycles", value());
       point.warmup = point.cycles / 10;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      point.seed = std::strtoull(value(), nullptr, 10);
+      point.seed = number("--seed", value());
     } else if (std::strcmp(argv[i], "--ddr3") == 0) {
       point.hook = [](SimConfig& c) { c.dram = ddr3_1600_params(); };
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      parse_shards("--shards", value());
     } else if (std::strcmp(argv[i], "--timings") == 0) {
       timings = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--workload W] [--scheduler S] [--cycles N] "
-                   "[--seed N] [--ddr3] [--shards N] [--timings] [--list]\n",
+                   "[--seed N] [--ddr3] [--timings] [--list]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (shards != 1) {
-    const exp::ConfigHook base = point.hook;
-    point.hook = [base, shards](SimConfig& c) {
-      if (base) base(c);
-      c.shards = static_cast<std::uint32_t>(shards);
-    };
-  }
-
   point.workload = profile_by_name(workload);
   bool found = false;
   for (SchedulerKind kind : all_schedulers()) {

@@ -132,7 +132,7 @@ class SampledRunner {
 /// the measured windows.  jobs <= 1 runs the sequential SampledRunner
 /// schedule.  jobs > 1 is the fan-out mode: simulate the first (priming)
 /// window in detail, snapshot once, freeze the issue-rate estimator, and
-/// measure every remaining window on a par::WorkerPool — each worker
+/// measure every remaining window with parallel_for — each worker
 /// restores the one snapshot, functionally skips to its own window start
 /// and measures independently.  The result is deterministic in `cfg` and
 /// `scfg` and *independent of the jobs count* (each window's chain never

@@ -1,15 +1,11 @@
-// Per-shard arena allocation for the hot queue path.
+// Per-partition arena allocation for the hot queue path.
 //
-// Every memory partition owns a ShardArena; its controller's read/write
+// Every memory partition owns an Arena; its controller's read/write
 // queues, per-bank command queues, and the partition's pipeline/fill/
-// response deques draw their node storage from it.  Two effects:
-//
-//   * no allocator contention: a sharded run never routes two shards'
-//     queue churn through one global malloc arena, so worker threads do
-//     not serialize on heap locks or ping-pong allocator metadata
-//     cache lines;
-//   * locality: one shard's queue nodes pack into the same few slabs
-//     instead of interleaving with every other shard's allocations.
+// response deques draw their node storage from it, so one partition's
+// queue nodes pack into the same few slabs instead of interleaving with
+// every other allocation in the process.  Measured: bypassing it makes
+// Simulator construction 15-25% slower (EXPERIMENTS.md).
 //
 // The arena is a segregated power-of-two free-list over 64 KiB slabs.
 // Freed blocks are recycled by size class, never returned to the OS until
@@ -17,9 +13,9 @@
 // after warmup and stops allocating entirely.  Blocks larger than half a
 // slab fall through to operator new (deque bulk maps, rare).
 //
-// Thread contract: an arena is LATDIV_SHARD_LOCAL by construction — it is
-// owned by exactly one Partition and only that partition's containers
-// allocate from it, so no locking is needed or provided.
+// Thread contract: an arena is owned by exactly one Partition and only
+// that partition's containers allocate from it, so no locking is needed
+// or provided.
 #pragma once
 
 #include <cstddef>
@@ -27,21 +23,20 @@
 #include <new>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/log.hpp"
 
-namespace latdiv::par {
+namespace latdiv {
 
-class ShardArena {
+class Arena {
  public:
   static constexpr std::size_t kSlabBytes = 64 * 1024;
   /// Smallest serviced block; also the alignment of every arena block.
   static constexpr std::size_t kMinBlock = 16;
 
-  ShardArena() = default;
-  ShardArena(const ShardArena&) = delete;
-  ShardArena& operator=(const ShardArena&) = delete;
-  ~ShardArena() {
+  Arena() = default;
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+  ~Arena() {
     for (void* slab : slabs_) ::operator delete(slab);
   }
 
@@ -81,9 +76,7 @@ class ShardArena {
 
  private:
   struct FreeNode {
-    // Intrusive link inside a freed block; reachable only through the
-    // owning arena's free_ lists, so it shares the arena's ownership.
-    FreeNode* next LATDIV_SHARD_LOCAL;
+    FreeNode* next;  ///< intrusive link inside a freed block
   };
   // Size classes kMinBlock << c for c in [0, kClasses): 16 B .. 32 KiB.
   static constexpr std::size_t kClasses = 12;
@@ -98,23 +91,22 @@ class ShardArena {
     return cls;
   }
 
-  std::vector<void*> slabs_ LATDIV_SHARD_LOCAL;
-  FreeNode* free_[kClasses] LATDIV_SHARD_LOCAL = {};
-  std::byte* cur_ LATDIV_SHARD_LOCAL = nullptr;
+  std::vector<void*> slabs_;
+  FreeNode* free_[kClasses] = {};
+  std::byte* cur_ = nullptr;
   std::size_t left_ = 0;
 };
 
-/// std::allocator-compatible handle onto a ShardArena.  A null arena falls
+/// std::allocator-compatible handle onto an Arena.  A null arena falls
 /// back to the global heap, so arena-typed containers behave identically
-/// in serial builds and in contexts (tests, tools) that never construct
-/// an arena.
+/// in contexts (tests, tools) that never construct an arena.
 template <typename T>
 class ArenaAllocator {
  public:
   using value_type = T;
 
   ArenaAllocator() noexcept = default;
-  explicit ArenaAllocator(ShardArena* arena) noexcept : arena_(arena) {}
+  explicit ArenaAllocator(Arena* arena) noexcept : arena_(arena) {}
   template <typename U>
   ArenaAllocator(const ArenaAllocator<U>& other) noexcept
       : arena_(other.arena()) {}
@@ -133,7 +125,7 @@ class ArenaAllocator {
     }
   }
 
-  [[nodiscard]] ShardArena* arena() const noexcept { return arena_; }
+  [[nodiscard]] Arena* arena() const noexcept { return arena_; }
 
   template <typename U>
   bool operator==(const ArenaAllocator<U>& o) const noexcept {
@@ -147,7 +139,7 @@ class ArenaAllocator {
  private:
   /// Non-owning; the arena outlives every container built on it (members
   /// are declared after their arena in the owning class).
-  ShardArena* arena_ LATDIV_SHARD_LOCAL = nullptr;
+  Arena* arena_ = nullptr;
 };
 
-}  // namespace latdiv::par
+}  // namespace latdiv

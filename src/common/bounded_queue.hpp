@@ -16,9 +16,9 @@
 
 namespace latdiv {
 
-/// `Alloc` lets hot queues draw node storage from a per-shard arena
-/// (par::ArenaAllocator); the default is the global heap, behaviourally
-/// identical.
+/// `Alloc` lets hot queues draw node storage from a per-partition arena
+/// (ArenaAllocator, common/arena.hpp); the default is the global heap,
+/// behaviourally identical.
 template <typename T, typename Alloc = std::allocator<T>>
 class BoundedQueue {
  public:

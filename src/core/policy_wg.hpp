@@ -167,10 +167,6 @@ class WgPolicy final : public TransactionScheduler {
   void on_drain_start(MemoryController& mc, Cycle now) override;
 
   [[nodiscard]] const WgStats* wg_stats() const override { return &stats_; }
-  /// A selected-but-undrained group is scheduler state the controller's
-  /// queues don't show; schedule_reads clears it whenever the group's
-  /// queued requests run out, so with an empty read queue this holds.
-  [[nodiscard]] bool quiescent() const override { return !current_; }
   [[nodiscard]] const WgConfig& config() const { return cfg_; }
 
   struct Score {

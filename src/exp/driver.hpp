@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "ckpt/sampler.hpp"
 #include "exp/golden.hpp"
@@ -23,10 +26,6 @@ struct SweepRunArgs {
   GoldenOptions golden;  ///< tolerances for --check
   bool timings = false;  ///< include wall_ms in the JSON (non-deterministic)
   bool progress = true;  ///< per-point progress lines on stderr
-  /// Disable idle-cycle fast-forward in every simulated point
-  /// (--no-fast-forward).  Results are contractually byte-identical with
-  /// it on or off; CI sweeps both ways and compares the artifacts.
-  bool fast_forward = true;
   /// Print a per-phase wall-clock and simulation-throughput breakdown
   /// (build / simulate / report phases, simulated Mcycles/s, peak RSS)
   /// on stderr.  Emitted even when points fail or artifact writes fail.
@@ -44,11 +43,6 @@ struct SweepRunArgs {
   std::string attrib_dir;
   /// Sampling epoch (DRAM cycles) for --timeseries rows.
   std::uint64_t sample_interval = 500;
-  /// Logical shard count for the parallel channel-sharded core in every
-  /// simulated point (--shards / LATDIV_SHARDS).  Artifact bytes are
-  /// contractually identical at any value (SimConfig::shards); CI sweeps
-  /// several counts and compares.  0 is rejected at the CLI.
-  std::uint32_t shards = 1;
   /// When non-empty, every simulated point snapshots its final state to
   /// `<dir>/<point-id>.snap` (--snapshot; '/' in ids becomes '_').
   std::string snapshot_dir;
@@ -69,7 +63,18 @@ struct SweepRunArgs {
 /// Run the named manifest and print its figure table.  Returns the
 /// process exit code: 0 on success, 1 when any point failed or the
 /// golden check found regressions, 2 on setup errors (unknown manifest,
-/// empty filtered grid, unwritable output).
+/// empty filtered grid, zero seeds or sample interval, unwritable
+/// output).
 int run_manifest(const std::string& name, const SweepRunArgs& args);
+
+/// The numeric command-line value parser every front end shares: a
+/// non-empty string of decimal digits whose value is at most `max`.
+/// Anything else — a sign (so "-1" cannot wrap to 2^64-1), spaces,
+/// trailing text, or a value past `max` or 2^64-1 — is nullopt.  Pass
+/// UINT32_MAX for a 32-bit field so an oversized value is rejected
+/// rather than truncated.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(
+    std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace latdiv::exp

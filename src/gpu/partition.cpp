@@ -1,6 +1,7 @@
 #include "gpu/partition.hpp"
 
 #include "common/log.hpp"
+#include "gpu/tracker.hpp"
 
 namespace latdiv {
 
@@ -8,7 +9,7 @@ Partition::Partition(ChannelId id, const PartitionConfig& cfg,
                      const McConfig& mc_cfg, const DramTiming& timing,
                      std::unique_ptr<TransactionScheduler> policy,
                      const AddressMap& amap, Crossbar& xbar,
-                     TrackerSink& tracker, obs::McEventSink* obs)
+                     InstrTracker& tracker, obs::ObsHub* obs)
     : id_(id),
       cfg_(cfg),
       l2_(cfg.l2),
@@ -16,9 +17,9 @@ Partition::Partition(ChannelId id, const PartitionConfig& cfg,
       amap_(amap),
       xbar_(xbar),
       tracker_(tracker),
-      pipeline_(par::ArenaAllocator<Delayed>(&arena_)),
-      fills_(par::ArenaAllocator<MemRequest>(&arena_)),
-      responses_(par::ArenaAllocator<MemResponse>(&arena_)) {
+      pipeline_(ArenaAllocator<Delayed>(&arena_)),
+      fills_(ArenaAllocator<MemRequest>(&arena_)),
+      responses_(ArenaAllocator<MemResponse>(&arena_)) {
   mc_ = std::make_unique<MemoryController>(
       id, mc_cfg, timing, std::move(policy),
       [this](const MemRequest& req, Cycle) {

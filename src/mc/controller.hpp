@@ -25,7 +25,7 @@
 #include <queue>
 #include <vector>
 
-#include "common/annotations.hpp"
+#include "common/arena.hpp"
 #include "common/bounded_queue.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
@@ -34,20 +34,19 @@
 #include "dram/params.hpp"
 #include "mc/policy.hpp"
 #include "mem/request.hpp"
-#include "par/arena.hpp"
 
 namespace latdiv::obs {
-class McEventSink;
+class ObsHub;
 }
 
 namespace latdiv {
 
 /// Arena-backed queue types: node storage comes from the owning
-/// partition's ShardArena (a null arena falls back to the global heap —
-/// see par/arena.hpp).  Consumers use `auto&` / range-for, so the alias
+/// partition's Arena (a null arena falls back to the global heap — see
+/// common/arena.hpp).  Consumers use `auto&` / range-for, so the alias
 /// is the only place the allocator appears.
-using McRequestQueue = BoundedQueue<MemRequest, par::ArenaAllocator<MemRequest>>;
-using McBankQueue = std::deque<MemRequest, par::ArenaAllocator<MemRequest>>;
+using McRequestQueue = BoundedQueue<MemRequest, ArenaAllocator<MemRequest>>;
+using McBankQueue = std::deque<MemRequest, ArenaAllocator<MemRequest>>;
 
 struct McConfig {
   std::uint32_t read_queue_size = 64;
@@ -88,13 +87,11 @@ class MemoryController {
 
   /// `obs` (optional) receives request-lifecycle events; it is strictly
   /// an observer — scheduling behaviour is identical with or without it.
-  /// Under a sharded core it is the partition's ShardEffectBuffer rather
-  /// than the hub itself.  `arena` (optional) backs the request/command
-  /// queues' node storage.
+  /// `arena` (optional) backs the request/command queues' node storage.
   MemoryController(ChannelId id, const McConfig& cfg, const DramTiming& timing,
                    std::unique_ptr<TransactionScheduler> policy,
-                   ResponseFn on_read_done, obs::McEventSink* obs = nullptr,
-                   par::ShardArena* arena = nullptr);
+                   ResponseFn on_read_done, obs::ObsHub* obs = nullptr,
+                   Arena* arena = nullptr);
 
   // --- ingress (called by the partition) ---
   [[nodiscard]] bool can_accept_read() const { return !read_q_.full(); }
@@ -170,29 +167,6 @@ class MemoryController {
     return mutation_epoch_;
   }
 
-  // --- idle fast-forward (Simulator::run) ---
-  /// Earliest cycle >= now at which a tick can change controller state:
-  /// `now` while any queue holds work, a drain-mode flip is pending, the
-  /// policy is not quiescent, or coordination messages await pickup;
-  /// otherwise the earliest of the next in-flight read completion and the
-  /// next refresh deadline (kNoCycle when fully drained and refresh-free).
-  [[nodiscard]] Cycle next_event(Cycle now) const {
-    if (!read_q_.empty() || !write_q_.empty() || cmdq_total_ != 0 ||
-        !outbox_.empty() || write_mode_ || !policy_->quiescent()) {
-      return now;
-    }
-    Cycle ev = channel_.next_refresh_at();
-    if (!inflight_reads_.empty()) {
-      ev = std::min(ev, inflight_reads_.top().done);
-    }
-    return ev;
-  }
-  /// Credit `n` skipped cycles of per-cycle idle accounting.
-  void note_idle_cycles(std::uint64_t n) { channel_.note_idle_cycles(n); }
-  [[nodiscard]] const std::vector<CoordMsg>& outbox() const {
-    return outbox_;
-  }
-
   // Fig. 12 accounting: policies report the warp-groups stalled when a
   // drain begins.
   void record_drain_stall(std::size_t groups, std::size_t small_groups);
@@ -230,15 +204,8 @@ class MemoryController {
   McConfig cfg_;
   Channel channel_;
   std::unique_ptr<TransactionScheduler> policy_;
-  // The response callback re-enters the coordination network / tracker;
-  // under a sharded core responses are queued to the owning shard rather
-  // than invoked cross-thread, so the callback itself stays shard-local.
-  ResponseFn on_read_done_ LATDIV_SHARD_LOCAL;
-  // Nullable; never consulted for decisions.  Observation is serialised
-  // per-channel, so the sink pointer is only dereferenced on this
-  // controller's own tick (the sharded core binds it to the partition's
-  // ShardEffectBuffer, the serial core to the ObsHub).
-  obs::McEventSink* obs_ LATDIV_SHARD_LOCAL = nullptr;
+  ResponseFn on_read_done_;
+  obs::ObsHub* obs_ = nullptr;  ///< nullable; never consulted for decisions
   // Drain-episode accounting for obs_->drain_end's flushed-write count.
   std::size_t wq_at_drain_start_ = 0;
   std::uint64_t writes_arrived_in_drain_ = 0;

@@ -78,11 +78,9 @@ class TransactionScheduler {
   /// without downcasting concrete types.  Null when the policy has none.
   [[nodiscard]] virtual const WgStats* wg_stats() const { return nullptr; }
 
-  /// True when the policy is a pure function of the controller's queue
-  /// and bank state: with no queued work it does nothing until new work
-  /// arrives.  Idle fast-forward (Simulator::run) skips a controller's
-  /// cycles only while this holds; a custom policy with internal
-  /// time-driven state must return false.
+  /// Not consulted by the simulator.  Kept only because the frozen
+  /// benchmark's forwarding policy (perfbench/src/traced_sim.hpp)
+  /// overrides it; remove together with that override.
   [[nodiscard]] virtual bool quiescent() const { return true; }
 
   /// Snapshot hooks (src/ckpt).  Policies with cross-cycle private state

@@ -44,10 +44,6 @@ ObsHub::ObsHub(const ObsConfig& cfg) : cfg_(cfg) {
   if (cfg_.attrib) attrib_ = std::make_unique<AttributionProfiler>(registry_);
 }
 
-void ObsHub::override_sink(TraceSink* sink) {
-  sink_ = sink != nullptr ? sink : (cfg_.trace ? &chrome_ : nullptr);
-}
-
 bool ObsHub::first_use(std::uint32_t pid, std::uint32_t tid) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(pid) << 32) | tid;

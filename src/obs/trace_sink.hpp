@@ -1,10 +1,8 @@
-// Trace sinks: where lifecycle events go.
+// Trace sink: where lifecycle events go.
 //
-// The hub (src/obs/hub.hpp) narrates the simulation as TraceEvents; a
-// TraceSink decides their fate.  ChromeTraceSink renders the Chrome
-// trace_event JSON that Perfetto / chrome://tracing load directly;
-// CountingTraceSink swallows events and counts them (overhead benches,
-// tests that only care that emission happened).
+// The hub (src/obs/hub.hpp) narrates the simulation as TraceEvents;
+// ChromeTraceSink renders them as the Chrome trace_event JSON that
+// Perfetto / chrome://tracing load directly.
 //
 // ChromeTraceSink buffers the whole rendering in memory: runs are tens of
 // thousands of cycles (a few MB of events at worst) and an in-memory
@@ -20,32 +18,21 @@
 
 namespace latdiv::obs {
 
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  virtual void emit(const TraceEvent& ev) = 0;
-
-  /// Track naming (trace_event "M" metadata). Names may be built on the
-  /// caller's stack; sinks must not retain the view past the call.
-  virtual void process_name(std::uint32_t pid, std::string_view name) = 0;
-  virtual void thread_name(std::uint32_t pid, std::uint32_t tid,
-                           std::string_view name) = 0;
-};
-
 /// Chrome trace_event JSON ("JSON Object Format": {"traceEvents": [...]}).
 /// Timestamps are emitted in raw simulation cycles; the trace declares
 /// "displayTimeUnit":"ns" so viewers show them on a compact scale (one
 /// GDDR5 command cycle is 0.667 ns — close enough for reading a
 /// timeline; exact conversion is the summarizer's job).
-class ChromeTraceSink final : public TraceSink {
+class ChromeTraceSink {
  public:
   ChromeTraceSink();
 
-  void emit(const TraceEvent& ev) override;
-  void process_name(std::uint32_t pid, std::string_view name) override;
+  void emit(const TraceEvent& ev);
+  /// Track naming (trace_event "M" metadata). Names may be built on the
+  /// caller's stack; the sink does not retain the view past the call.
+  void process_name(std::uint32_t pid, std::string_view name);
   void thread_name(std::uint32_t pid, std::uint32_t tid,
-                   std::string_view name) override;
+                   std::string_view name);
 
   /// Close the JSON document (idempotent) and return the full rendering.
   [[nodiscard]] const std::string& finish();
@@ -64,24 +51,6 @@ class ChromeTraceSink final : public TraceSink {
   std::string out_;
   std::uint64_t events_ = 0;
   bool finished_ = false;
-};
-
-/// Counts emissions, keeps nothing — the "enabled but weightless" sink
-/// used to price the emission path itself.
-class CountingTraceSink final : public TraceSink {
- public:
-  void emit(const TraceEvent&) override { ++events_; }
-  void process_name(std::uint32_t, std::string_view) override { ++meta_; }
-  void thread_name(std::uint32_t, std::uint32_t, std::string_view) override {
-    ++meta_;
-  }
-
-  [[nodiscard]] std::uint64_t events() const { return events_; }
-  [[nodiscard]] std::uint64_t metadata() const { return meta_; }
-
- private:
-  std::uint64_t events_ = 0;
-  std::uint64_t meta_ = 0;
 };
 
 }  // namespace latdiv::obs

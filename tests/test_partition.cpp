@@ -1,6 +1,7 @@
 // Partition (L2 slice + controller glue) behaviour: hits respond without
 // DRAM, misses fetch through the controller, stores allocate dirty lines,
-// evictions write back, and warp-group completion tags are forwarded.
+// evictions write back, and warp-group completion tags are forwarded;
+// the per-partition queue arena reaches a steady state.
 #include "gpu/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "gpu/tracker.hpp"
 #include "mc/policy_fcfs.hpp"
 #include "mc/policy.hpp"
+#include "sim/simulator.hpp"
 
 namespace latdiv {
 namespace {
@@ -231,6 +233,26 @@ TEST(Partition, TrackerSeesDramRequestAndCompletion) {
   h.tracker.finalize(1, h.now);
   EXPECT_EQ(h.tracker.summary().loads_touching_dram, 1u);
   EXPECT_GT(h.tracker.summary().first_req_latency.mean(), 0.0);
+}
+
+// Queue churn must reach a steady state, not grow arena slabs forever.
+TEST(ShardArenaUse, SlabCountReachesSteadyState) {
+  SimConfig cfg;
+  cfg.shrink_for_tests();
+  cfg.workload = profile_by_name("spmv");
+  cfg.max_cycles = 16'000;
+  Simulator sim(cfg);
+  sim.run_to(8'000);
+  std::vector<std::size_t> at_half;
+  for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+    at_half.push_back(sim.partition(p).arena_slabs());
+    EXPECT_GE(at_half.back(), 1u) << "arena unused by partition " << p;
+  }
+  sim.run_to(cfg.max_cycles);
+  for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+    EXPECT_EQ(sim.partition(p).arena_slabs(), at_half[p])
+        << "slabs still growing in steady state (free lists not recycling)";
+  }
 }
 
 }  // namespace

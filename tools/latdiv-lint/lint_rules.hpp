@@ -12,7 +12,7 @@
 //   determinism:     wall-clock, unseeded-rng, unordered-iter,
 //                    pointer-key, float-accum
 //   observer-purity: observer-purity
-//   shard-safety:    mutable-static, shard-boundary
+//   thread-safety:   mutable-static
 //   meta:            unused-suppression
 #pragma once
 

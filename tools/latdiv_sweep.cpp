@@ -12,12 +12,16 @@
 //
 // Exit codes: 0 success, 1 failed points or golden regression, 2 usage or
 // I/O errors.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "exp/driver.hpp"
 
@@ -44,10 +48,6 @@ void usage(std::FILE* out) {
                "  --quick           quarter-length smoke run\n"
                "  --filter S        keep only points whose id contains S\n"
                "  --jobs N          executor threads (default 1)\n"
-               "  --shards N        channel shards per simulated point "
-               "(default $LATDIV_SHARDS or 1;\n"
-               "                    artifact bytes are identical at any "
-               "value)\n"
                "  --out FILE        write the JSON artifact\n"
                "  --csv FILE        write the CSV artifact\n"
                "  --timings         include per-point wall_ms in the JSON "
@@ -74,9 +74,7 @@ void usage(std::FILE* out) {
                "W warm-up cycles every P-cycle\n"
                "                    period (default 8000,4000,120000); "
                "reports estimate metrics\n"
-               "  --no-fast-forward\n"
-               "                    disable idle-cycle fast-forward (results "
-               "are byte-identical either way)\n"
+
                "  --quiet           no per-point progress on stderr\n"
                "  --check FILE      golden-check the artifact against FILE\n"
                "  --default-tol R   relative tolerance for --check "
@@ -85,29 +83,25 @@ void usage(std::FILE* out) {
                "(repeatable)\n");
 }
 
-std::uint64_t parse_u64(const char* flag, const char* text) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "latdiv-sweep: %s wants a number, got '%s'\n", flag,
-                 text);
+/// exp::parse_uint, exiting 2 with a message on a malformed value.
+std::uint64_t parse_number(const char* flag, const char* text,
+                           std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> v = parse_uint(text, max);
+  if (!v) {
+    std::fprintf(stderr,
+                 "latdiv-sweep: %s wants a number in [0, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
-/// Shard count from --shards or the LATDIV_SHARDS env var; 0 (a silent
-/// serial fallback waiting to happen) is rejected.
-std::uint32_t parse_shards(const char* origin, const char* text) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0 || v > 4096) {
-    std::fprintf(stderr,
-                 "latdiv-sweep: %s wants a shard count >= 1, got '%s'\n",
-                 origin, text);
-    std::exit(2);
-  }
-  return static_cast<std::uint32_t>(v);
+[[noreturn]] void bad_sampling(const char* text) {
+  std::fprintf(stderr,
+               "latdiv-sweep: --sampling wants D,W,P with D > 0 and "
+               "P >= W + D, got '%s'\n",
+               text);
+  std::exit(2);
 }
 
 /// "D,W,P" -> SamplingConfig{detail, warm, period}; bare --sampling
@@ -115,30 +109,24 @@ std::uint32_t parse_shards(const char* origin, const char* text) {
 latdiv::ckpt::SamplingConfig parse_sampling(const char* text) {
   latdiv::ckpt::SamplingConfig sc;
   if (text == nullptr || *text == '\0') return sc;
-  char* end = nullptr;
-  sc.detail_cycles = std::strtoull(text, &end, 10);
-  if (end == text || *end != ',') {
-    std::fprintf(stderr, "latdiv-sweep: --sampling wants D,W,P, got '%s'\n",
-                 text);
-    std::exit(2);
+  std::string_view rest(text);
+  if (std::count(rest.begin(), rest.end(), ',') != 2) bad_sampling(text);
+  std::uint64_t field[3];
+  for (std::uint64_t& f : field) {
+    const std::size_t comma = rest.find(',');
+    const std::optional<std::uint64_t> v = parse_uint(rest.substr(0, comma));
+    if (!v) bad_sampling(text);
+    f = *v;
+    rest.remove_prefix(comma == std::string_view::npos ? rest.size()
+                                                       : comma + 1);
   }
-  const char* p = end + 1;
-  sc.warm_cycles = std::strtoull(p, &end, 10);
-  if (end == p || *end != ',') {
-    std::fprintf(stderr, "latdiv-sweep: --sampling wants D,W,P, got '%s'\n",
-                 text);
-    std::exit(2);
+  const auto [detail, warm, period] = field;
+  if (detail == 0 || warm > period || detail > period - warm) {
+    bad_sampling(text);
   }
-  p = end + 1;
-  sc.period_cycles = std::strtoull(p, &end, 10);
-  if (end == p || *end != '\0' || sc.detail_cycles == 0 ||
-      sc.period_cycles < sc.warm_cycles + sc.detail_cycles) {
-    std::fprintf(stderr,
-                 "latdiv-sweep: --sampling needs D > 0 and P >= W + D, "
-                 "got '%s'\n",
-                 text);
-    std::exit(2);
-  }
+  sc.detail_cycles = detail;
+  sc.warm_cycles = warm;
+  sc.period_cycles = period;
   return sc;
 }
 
@@ -234,29 +222,24 @@ int cmd_check(int argc, char** argv) {
 
 int cmd_run(const std::string& manifest, int argc, char** argv) {
   SweepRunArgs args;
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    args.shards = parse_shards("LATDIV_SHARDS", env);
-  }
   for (int i = 2; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--cycles") == 0) {
-      args.opts.cycles = parse_u64(flag, next_arg(argc, argv, i));
+      args.opts.cycles = parse_number(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--warmup") == 0) {
-      args.opts.warmup = parse_u64(flag, next_arg(argc, argv, i));
+      args.opts.warmup = parse_number(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--seed") == 0) {
-      args.opts.seed = parse_u64(flag, next_arg(argc, argv, i));
+      args.opts.seed = parse_number(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--seeds") == 0) {
-      args.opts.seeds =
-          static_cast<std::uint32_t>(parse_u64(flag, next_arg(argc, argv, i)));
+      args.opts.seeds = static_cast<std::uint32_t>(
+          parse_number(flag, next_arg(argc, argv, i), UINT32_MAX));
     } else if (std::strcmp(flag, "--quick") == 0) {
       args.opts.quick = true;
     } else if (std::strcmp(flag, "--filter") == 0) {
       args.opts.filter = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--jobs") == 0) {
-      args.opts.jobs =
-          static_cast<unsigned>(parse_u64(flag, next_arg(argc, argv, i)));
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      args.shards = parse_shards(flag, next_arg(argc, argv, i));
+      args.opts.jobs = static_cast<unsigned>(
+          parse_number(flag, next_arg(argc, argv, i), UINT32_MAX));
     } else if (std::strcmp(flag, "--out") == 0) {
       args.out_json = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--csv") == 0) {
@@ -272,7 +255,7 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
     } else if (std::strcmp(flag, "--attrib") == 0) {
       args.attrib_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--sample-interval") == 0) {
-      args.sample_interval = parse_u64(flag, next_arg(argc, argv, i));
+      args.sample_interval = parse_number(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--snapshot") == 0) {
       args.snapshot_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--resume") == 0) {
@@ -283,8 +266,6 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
     } else if (std::strncmp(flag, "--sampling=", 11) == 0) {
       args.sampled = true;
       args.sampling = parse_sampling(flag + 11);
-    } else if (std::strcmp(flag, "--no-fast-forward") == 0) {
-      args.fast_forward = false;
     } else if (std::strcmp(flag, "--quiet") == 0) {
       args.progress = false;
     } else if (std::strcmp(flag, "--check") == 0) {
