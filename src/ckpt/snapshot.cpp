@@ -564,16 +564,18 @@ void WgPolicy::ckpt_io(Ar& ar) {
     }
   }
   // active_ travels as a uid list in vector order; the meta pointers are
-  // rebuilt against the freshly loaded group table.
+  // rebuilt against the freshly loaded group table.  A group is listed
+  // exactly while it has queued requests, so in_active is re-derived from
+  // the list and anything else is corruption.
   if constexpr (Ar::kIsWriter) {
     std::uint64_t n = active_.size();
     ar.u64(n);
     for (auto& entry : active_) ar.u64(entry.first);
   } else {
+    for (auto& [uid, meta] : groups_) meta.in_active = false;
     active_.clear();
     std::uint64_t n = 0;
     ar.u64(n);
-    active_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       WarpInstrUid uid = 0;
       ar.u64(uid);
@@ -582,12 +584,33 @@ void WgPolicy::ckpt_io(Ar& ar) {
         throw ckpt::CkptError(
             "snapshot corrupt: active warp-group not in the group table");
       }
-      active_.emplace_back(uid, &it->second);
+      WgGroupMeta& meta = it->second;
+      // Snapshots from before drained groups were delisted eagerly may
+      // still list them; they are not candidates.
+      if (meta.queued() == 0) continue;
+      if (meta.in_active) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: warp-group listed twice as active");
+      }
+      meta.in_active = true;
+      active_.emplace_back(uid, &meta);
+    }
+    for (const auto& [uid, meta] : groups_) {
+      if (meta.queued() != 0 && !meta.in_active) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: queued warp-group not listed as active");
+      }
     }
   }
   ar.u64(next_seq_);
-  ar.u64(skip_epoch_);
-  ar.u64(skip_until_);
+  // The select-skip memo and the fit memos are keyed on controller
+  // counters that snapshots omit: the skip memo travels as the invalid
+  // sentinel, and a loaded policy starts with every memo dropped.
+  std::uint64_t skip_epoch = ~std::uint64_t{0};
+  std::uint64_t skip_until = 0;
+  ar.u64(skip_epoch);
+  ar.u64(skip_until);
+  if constexpr (!Ar::kIsWriter) forget_select_memo();
   io_seq(ar, bqs_cache_, [&ar](std::pair<std::uint64_t, std::uint32_t>& e) {
     ar.u64(e.first);
     ar.u32(e.second);

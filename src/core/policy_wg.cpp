@@ -75,6 +75,19 @@ void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
   LATDIV_ASSERT(rit != it->items.end(), "index_remove: request not indexed");
   it->items.erase(rit);
   ++meta.version;
+  ++meta.pushed;
+  if (meta.queued() == 0) {
+    // Drained: leave the candidate universe now, so active_ never lists
+    // an empty group and its contents do not depend on when selection
+    // last ran.
+    const auto ait = std::find_if(
+        active_.begin(), active_.end(),
+        [&](const auto& e) { return e.second == &meta; });
+    LATDIV_ASSERT(ait != active_.end(), "drained group not listed");
+    *ait = active_.back();
+    active_.pop_back();
+    meta.in_active = false;
+  }
   if (cfg_.merb) {
     auto cit = row_counts_.find(row_key(req.loc.bank, req.loc.row));
     LATDIV_ASSERT(cit != row_counts_.end() && cit->second > 0,
@@ -224,8 +237,11 @@ WgPolicy::Score WgPolicy::score_group(const MemoryController& mc,
                                       WarpInstrUid instr) const {
   const auto git = groups_.find(instr);
   if (git == groups_.end()) return {};
-  const WgGroupMeta& meta = git->second;
+  return score_meta(mc, git->second);
+}
 
+WgPolicy::Score WgPolicy::score_meta(const MemoryController& mc,
+                                     const WgGroupMeta& meta) const {
   if (meta.score_version == meta.version) {
     bool valid = true;
     for (const WgGroupMeta::BankSlot& slot : meta.slots) {
@@ -266,121 +282,108 @@ void WgPolicy::forget_if_done(WarpInstrUid instr) {
   const WgGroupMeta& meta = it->second;
   if (meta.complete && meta.pushed >= meta.seen &&
       (!current_ || *current_ != instr)) {
-    if (meta.in_active) {
-      // The lazy sweep may not have run since the group drained; its
-      // active_ entry points into the node being erased.
-      const auto ait = std::find_if(
-          active_.begin(), active_.end(),
-          [&](const auto& e) { return e.first == instr; });
-      LATDIV_ASSERT(ait != active_.end(), "in_active group not listed");
-      *ait = active_.back();
-      active_.pop_back();
-    }
+    LATDIV_DCHECK(!meta.in_active, "drained group still listed");
     groups_.erase(it);
   }
 }
 
 // ---- selection --------------------------------------------------------
+//
+// Selection does work in proportion to what changed since its last call.
+// A failed selection is memoized on the controller's selection epoch,
+// which moves only on events that can flip it; each group caches its
+// (head_seq, oldest) summary on its index version; and each group's
+// "does not fit" verdict is memoized against the blocking bank's fit
+// epoch, so a complete group that is still blocked costs one compare.
+// Every tie is broken on head_seq, which reproduces the read queue's
+// first-occurrence order because arrival never decreases as seq grows.
 
-void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
-  auto& rq = mc.read_queue();
-  const std::uint64_t epoch = mc.mutation_epoch();
-  if (skip_epoch_ == epoch && now < skip_until_) return;
-  if (rq.empty()) {
-    skip_epoch_ = epoch;
-    skip_until_ = kNoCycle;  // only new state can change the answer
-    return;
+void WgPolicy::forget_select_memo() {
+  skip_epoch_ = ~std::uint64_t{0};
+  skip_until_ = 0;
+  // lint: order-independent (resets every entry; no selection by position)
+  for (auto& [instr, meta] : groups_) {
+    meta.summary_version = ~std::uint64_t{0};
+    meta.fit_memo = {};
   }
+}
 
-  // Candidates come from the incremental per-group index (one entry per
-  // group with queued requests), sorted by each group's earliest queued
-  // request so the list reproduces the read queue's first-occurrence
-  // order — the final tie-breaker of every selection rule below.
-  cands_.clear();
-  for (std::size_t i = 0; i < active_.size();) {
-    const WarpInstrUid instr = active_[i].first;
-    WgGroupMeta& meta = *active_[i].second;
-    if (meta.queued() == 0) {  // drained since listing: sweep out
-      meta.in_active = false;
-      active_[i] = active_.back();
-      active_.pop_back();
-      continue;
-    }
-    ++i;
-    Cand c{instr, &meta, ~std::uint64_t{0}, 0, kNoCycle, 0};
-    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-      if (slot.items.empty()) continue;
-      const WgGroupMeta::QueuedReq& front = slot.items.front();
-      c.head_seq = std::min(c.head_seq, front.seq);
-      c.oldest = std::min(c.oldest, front.arrival);
-      c.count += static_cast<std::uint32_t>(slot.items.size());
-      if (mc.predicted_row(slot.bank) != front.row) {
-        c.opens_row_mask |= 1u << slot.bank;
-      }
-    }
-    cands_.push_back(c);
+void WgPolicy::summarize(const WgGroupMeta& meta, bool use_cache) const {
+  if (use_cache && meta.summary_version == meta.version) return;
+  meta.head_seq = ~std::uint64_t{0};
+  meta.oldest = kNoCycle;
+  for (const WgGroupMeta::BankSlot& slot : meta.slots) {
+    if (slot.items.empty()) continue;
+    meta.head_seq = std::min(meta.head_seq, slot.items.front().seq);
+    meta.oldest = std::min(meta.oldest, slot.items.front().arrival);
   }
-  std::sort(cands_.begin(), cands_.end(),
-            [](const Cand& a, const Cand& b) { return a.head_seq < b.head_seq; });
+  meta.summary_version = meta.version;
+}
 
-  // A group is selectable when (a) its requests fit the bank command
-  // queues and (b) any bank whose row it would close has drained — the
+bool WgPolicy::fits(const MemoryController& mc, const WgGroupMeta& meta,
+                    bool require_drained, bool use_memo) const {
+  if (use_memo && meta.fit_memo_blocks(mc, require_drained)) return false;
+  // Closing a bank's row is held back until the bank has drained — the
   // same stream hysteresis the GMC row sorter applies: a hit for the
   // still-open row may be one arrival away, and closing early forfeits
-  // it.  The liveness fallback below ignores (b).
+  // it.  The liveness fallback ignores this rule.
   const auto depth_cap = mc.config().bank_queue_depth;
-  auto fits = [&](const Cand& c, bool require_drained) {
-    for (const WgGroupMeta::BankSlot& slot : c.meta->slots) {
-      if (slot.items.empty()) continue;
-      // Groups larger than a bank's command queue can never fit whole;
-      // they become selectable once the full queue depth is free and
-      // then drain incrementally (drain_current keeps them current).
-      const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
-      if (!mc.bank_queue_has_space(slot.bank, need)) {
-        return false;
-      }
-      if (require_drained && (c.opens_row_mask & (1u << slot.bank)) != 0 &&
-          mc.bank_queue_size(slot.bank) != 0) {
-        return false;
-      }
+  for (const WgGroupMeta::BankSlot& slot : meta.slots) {
+    if (slot.items.empty()) continue;
+    // Groups larger than a bank's command queue can never fit whole;
+    // they become selectable once the full queue depth is free and
+    // then drain incrementally (drain_current keeps them current).
+    const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
+    const bool blocked =
+        !mc.bank_queue_has_space(slot.bank, need) ||
+        (require_drained &&
+         mc.predicted_row(slot.bank) != slot.items.front().row &&
+         mc.bank_queue_size(slot.bank) != 0);
+    if (blocked) {
+      meta.fit_memo[require_drained ? 1 : 0] = WgGroupMeta::FitMemo{
+          meta.version, mc.fit_epoch(slot.bank), slot.bank};
+      return false;
     }
-    return true;
-  };
+  }
+  return true;
+}
+
+WgPolicy::Selection WgPolicy::evaluate_selection(const MemoryController& mc,
+                                                 Cycle now,
+                                                 bool use_memos) const {
+  Selection sel;
+  if (mc.read_queue().empty()) return sel;  // only new state can help
 
   // WG-W: imminent write drain — unit-remaining complete groups first.
   // Two tiers: unit groups that respect the stream hysteresis are
   // preferred; only when none exists does drain-imminence justify
-  // closing a row early to finish a warp before the drain.
+  // closing a row early to finish a warp before the drain.  The oldest
+  // fitting group wins, so groups that cannot beat the current winner
+  // are not checked for fit.
   if (write_pressure(mc)) {
-    const Cand* best = nullptr;
     for (const bool require_drained : {true, false}) {
-      for (const Cand& c : cands_) {
-        if (!c.meta->complete) continue;
-        if (c.count != 1 || !fits(c, require_drained)) continue;
-        if (best == nullptr || c.oldest < best->oldest) best = &c;
+      for (const auto& [instr, meta] : active_) {
+        if (!meta->complete || meta->queued() != 1) continue;
+        summarize(*meta, use_memos);
+        if (sel.meta != nullptr && meta->head_seq > sel.meta->head_seq) {
+          continue;
+        }
+        if (!fits(mc, *meta, require_drained, use_memos)) continue;
+        sel.meta = meta;
       }
-      if (best != nullptr) break;
-    }
-    if (best != nullptr) {
-      current_ = best->instr;
-      skip_epoch_ = ~std::uint64_t{0};
-      ++stats_.groups_selected;
-      ++stats_.writeaware_selections;
-      stats_.group_size.add(best->meta->seen);
-      if (cfg_.multi_channel) {
-        mc.announce_selection(best->meta->tag, 0);
+      if (sel.meta != nullptr) {
+        sel.rule = Selection::Rule::kWriteAware;
+        return sel;
       }
-      return;
     }
   }
 
   // Shared-data extension: how many of the group's queued requests touch
   // a (bank, row) that at least one other pending group also needs.  The
   // census is maintained incrementally by index_add/index_remove.
-  auto shared_requests = [&](const Cand& c) -> std::uint32_t {
-    if (!cfg_.shared_data_boost) return 0;
+  auto shared_requests = [&](const WgGroupMeta& meta) -> std::uint32_t {
     std::uint32_t n = 0;
-    for (const WgGroupMeta::BankSlot& slot : c.meta->slots) {
+    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
       for (const WgGroupMeta::QueuedReq& q : slot.items) {
         const auto kit = census_.find(census_key(slot.bank, q.row));
         if (kit != census_.end() && kit->second.size() >= 2) ++n;
@@ -391,70 +394,92 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
 
   // BASJF: lowest effective completion score among complete groups; ties
   // go to the group with more row hits, then the older group.
-  const Cand* best = nullptr;
   Score best_score{};
-  std::uint32_t best_effective = 0;
-  bool best_was_boosted = false;
-  for (const Cand& c : cands_) {
-    if (!c.meta->complete || !fits(c, /*require_drained=*/true)) continue;
-    const Score s = score_group(mc, c.instr);
-    std::uint32_t bonus = c.meta->coord_bonus;
+  for (const auto& [instr, meta] : active_) {
+    if (!meta->complete ||
+        !fits(mc, *meta, /*require_drained=*/true, use_memos)) {
+      continue;
+    }
+    summarize(*meta, use_memos);
+    const Score s = score_meta(mc, *meta);
+    std::uint32_t bonus = meta->coord_bonus;
     std::uint32_t shared_bonus = 0;
     if (cfg_.shared_data_boost) {
-      shared_bonus = cfg_.shared_weight * shared_requests(c);
+      shared_bonus = cfg_.shared_weight * shared_requests(*meta);
       bonus += shared_bonus;
     }
     const std::uint32_t eff = s.completion > bonus ? s.completion - bonus : 0;
     const bool better =
-        best == nullptr || eff < best_effective ||
-        (eff == best_effective &&
+        sel.meta == nullptr || eff < sel.effective ||
+        (eff == sel.effective &&
          (s.row_hits > best_score.row_hits ||
-          (s.row_hits == best_score.row_hits && c.oldest < best->oldest)));
+          (s.row_hits == best_score.row_hits &&
+           meta->head_seq < sel.meta->head_seq)));
     if (better) {
-      best = &c;
+      sel.meta = meta;
+      sel.effective = eff;
+      sel.shared_boosted = shared_bonus > 0;
       best_score = s;
-      best_effective = eff;
-      best_was_boosted = shared_bonus > 0;
     }
   }
-  if (best != nullptr && best_was_boosted) ++stats_.shared_boosts;
+  if (sel.meta != nullptr) return sel;
 
-  if (best == nullptr) {
-    // No fully-formed warp-group.  Liveness fallback: under queue pressure
-    // or age limit, drain the group holding the oldest request so the
-    // remaining members of other groups can reach the controller.
-    const bool pressure = rq.size() + cfg_.rq_pressure_slack >= rq.capacity();
-    const Cand* oldest = nullptr;
-    for (const Cand& c : cands_) {
-      if (!fits(c, /*require_drained=*/false)) continue;
-      if (oldest == nullptr || c.oldest < oldest->oldest) oldest = &c;
-    }
-    if (oldest == nullptr) {
-      // Every candidate waits on bank space; only a state change helps.
-      skip_epoch_ = epoch;
-      skip_until_ = kNoCycle;
-      return;
-    }
-    if (!pressure && now - oldest->oldest < cfg_.fallback_age) {
-      // Time alone can flip this outcome: wake when the age bound hits.
-      skip_epoch_ = epoch;
-      skip_until_ = oldest->oldest + cfg_.fallback_age;
-      return;
-    }
-    current_ = oldest->instr;
-    skip_epoch_ = ~std::uint64_t{0};
-    ++stats_.groups_selected;
-    ++stats_.fallback_selections;
-    stats_.group_size.add(oldest->meta->seen);
+  // No fully-formed warp-group.  Liveness fallback: under queue pressure
+  // or age limit, drain the group holding the oldest request so the
+  // remaining members of other groups can reach the controller.
+  for (const auto& [instr, meta] : active_) {
+    summarize(*meta, use_memos);
+    if (sel.meta != nullptr && meta->head_seq > sel.meta->head_seq) continue;
+    if (!fits(mc, *meta, /*require_drained=*/false, use_memos)) continue;
+    sel.meta = meta;
+  }
+  // No candidate fits: every one waits on bank space (retry_at stays
+  // kNoCycle, so only a state change helps).
+  if (sel.meta == nullptr) return sel;
+  const auto& rq = mc.read_queue();
+  const bool pressure = rq.size() + cfg_.rq_pressure_slack >= rq.capacity();
+  if (!pressure && now - sel.meta->oldest < cfg_.fallback_age) {
+    // Time alone can flip this outcome: wake when the age bound hits.
+    Selection wait;
+    wait.retry_at = sel.meta->oldest + cfg_.fallback_age;
+    return wait;
+  }
+  sel.rule = Selection::Rule::kFallback;
+  return sel;
+}
+
+void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
+  const std::uint64_t epoch = mc.selection_epoch();
+  if (skip_epoch_ == epoch && now < skip_until_) {
+    LATDIV_DCHECK(evaluate_selection(mc, now, /*use_memos=*/false).meta ==
+                      nullptr,
+                  "select-skip memo hid a selectable warp-group");
     return;
   }
-
-  current_ = best->instr;
+  const Selection sel = evaluate_selection(mc, now, /*use_memos=*/true);
+  if (sel.meta == nullptr) {
+    skip_epoch_ = epoch;
+    skip_until_ = sel.retry_at;
+    return;
+  }
+  current_ = sel.meta->tag.instr;
   skip_epoch_ = ~std::uint64_t{0};
   ++stats_.groups_selected;
-  stats_.group_size.add(best->meta->seen);
-  if (cfg_.multi_channel) {
-    mc.announce_selection(best->meta->tag, best_effective);
+  stats_.group_size.add(sel.meta->seen);
+  switch (sel.rule) {
+    case Selection::Rule::kWriteAware:
+      ++stats_.writeaware_selections;
+      if (cfg_.multi_channel) mc.announce_selection(sel.meta->tag, 0);
+      break;
+    case Selection::Rule::kBasjf:
+      if (sel.shared_boosted) ++stats_.shared_boosts;
+      if (cfg_.multi_channel) {
+        mc.announce_selection(sel.meta->tag, sel.effective);
+      }
+      break;
+    case Selection::Rule::kFallback:
+      ++stats_.fallback_selections;
+      break;
   }
 }
 
@@ -476,17 +501,8 @@ bool WgPolicy::push_filler(MemoryController& mc, BankId bank, Cycle now) {
   std::uint64_t best_seq = 0;
   // Winner minimises a unique (remaining, seq) key, so active_ order is
   // irrelevant here too.
-  for (std::size_t i = 0; i < active_.size();) {
-    const WarpInstrUid instr = active_[i].first;
-    WgGroupMeta& ameta = *active_[i].second;
-    if (ameta.queued() == 0) {  // drained since listing: sweep out
-      ameta.in_active = false;
-      active_[i] = active_.back();
-      active_.pop_back();
-      continue;
-    }
-    ++i;
-    const WgGroupMeta& meta = ameta;
+  for (const auto& [instr, ameta] : active_) {
+    const WgGroupMeta& meta = *ameta;
     if (current_ && instr == *current_) continue;  // not a filler
     const auto sit = std::find_if(
         meta.slots.begin(), meta.slots.end(),
@@ -526,7 +542,6 @@ bool WgPolicy::push_filler(MemoryController& mc, BankId bank, Cycle now) {
   rq.erase(it);
   index_remove(groups_.at(best_instr), req);
   mc.send_to_bank(req, now);
-  ++groups_.at(best_instr).pushed;
   return true;
 }
 
@@ -600,7 +615,6 @@ std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
       it = rq.erase(it);
       index_remove(groups_.at(req.tag.instr), req);
       mc.send_to_bank(req, now);
-      ++groups_.at(req.tag.instr).pushed;
       ++pushes;
       if (pass == 0) it = rq.begin();  // a new tail row may unlock more hits
     }

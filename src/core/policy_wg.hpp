@@ -42,6 +42,7 @@
 // signal eventually arrives.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -110,8 +111,7 @@ struct WgGroupMeta {
   /// Per-bank slots in first-touch order; a slot may drain empty.
   std::vector<BankSlot> slots;
   std::uint64_t version = 0;  ///< bumped on every index add/remove
-  /// Listed in WgPolicy::active_ (groups with queued requests); cleared
-  /// lazily when a sweep finds the group drained.
+  /// Listed in WgPolicy::active_ (exactly while queued() > 0).
   bool in_active = false;
 
   /// Group score cache (see WgPolicy::score_group): valid while
@@ -121,9 +121,34 @@ struct WgGroupMeta {
   mutable std::uint32_t score_completion = 0;
   mutable std::uint32_t score_row_hits = 0;
 
+  /// Selection summary (see WgPolicy::summarize), valid while
+  /// summary_version matches `version`: seq and arrival of the group's
+  /// earliest queued request.  Arrival is non-decreasing in seq, so
+  /// `head_seq` alone orders groups by age.
+  mutable std::uint64_t summary_version = ~std::uint64_t{0};
+  mutable std::uint64_t head_seq = 0;
+  mutable Cycle oldest = kNoCycle;
+
+  /// "Does not fit" memo per selection mode (index: require_drained): at
+  /// `version`, the group was blocked by `bank` while that bank's fit
+  /// epoch was `fit_epoch`.  Neither can change without the other key
+  /// moving, so a matching memo proves the group still blocked.
+  struct FitMemo {
+    std::uint64_t version = ~std::uint64_t{0};
+    std::uint64_t fit_epoch = 0;
+    BankId bank = 0;
+  };
+  mutable std::array<FitMemo, 2> fit_memo{};
+
   /// Requests of this group currently in the read queue (== the old
   /// O(read-queue) pending_in_queue scan).
   [[nodiscard]] std::uint32_t queued() const { return seen - pushed; }
+  /// True when fit_memo[require_drained] still proves the group blocked.
+  [[nodiscard]] bool fit_memo_blocks(const MemoryController& mc,
+                                     bool require_drained) const {
+    const FitMemo& m = fit_memo[require_drained ? 1 : 0];
+    return m.version == version && m.fit_epoch == mc.fit_epoch(m.bank);
+  }
 };
 
 struct WgStats {
@@ -191,6 +216,22 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] const std::optional<WarpInstrUid>& current() const {
     return current_;
   }
+  /// Whether `meta`'s requests fit the bank command queues, evaluated
+  /// from scratch (no fit memo consulted; the memo is refreshed).
+  [[nodiscard]] bool fits_unmemoized(const MemoryController& mc,
+                                     const WgGroupMeta& meta,
+                                     bool require_drained) const {
+    return fits(mc, meta, require_drained, /*use_memo=*/false);
+  }
+  /// True while a failed selection is memoized against `mc`'s current
+  /// selection epoch (time may still lift it; see select_next_group).
+  [[nodiscard]] bool select_memo_armed(const MemoryController& mc) const {
+    return skip_epoch_ == mc.selection_epoch();
+  }
+  /// Drop the select-skip memo, every group's fit memos and selection
+  /// summaries: the next selection re-derives everything (memo
+  /// equivalence tests call this before every step).
+  void forget_select_memo();
 
   /// Snapshot serialization (src/ckpt): the warp sorter, the incremental
   /// read-queue index, caches and stats all round-trip; merb_ is a pure
@@ -209,7 +250,31 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] std::uint32_t bank_queue_score(const MemoryController& mc,
                                                BankId bank) const;
 
+  /// Outcome of one selection evaluation (nothing is committed yet).
+  struct Selection {
+    enum class Rule : std::uint8_t { kWriteAware, kBasjf, kFallback };
+    const WgGroupMeta* meta = nullptr;  ///< null: nothing selectable
+    Rule rule = Rule::kBasjf;
+    std::uint32_t effective = 0;   ///< BASJF: announced effective score
+    bool shared_boosted = false;   ///< BASJF: won with a shared-row bonus
+    Cycle retry_at = kNoCycle;     ///< on failure: when age alone flips it
+  };
+
   void select_next_group(MemoryController& mc, Cycle now);
+  /// Pick the next warp-group without committing to it.  `use_memos`
+  /// false ignores every fit memo and summary cache (the DCHECK
+  /// cross-check of the select-skip memo).
+  [[nodiscard]] Selection evaluate_selection(const MemoryController& mc,
+                                             Cycle now, bool use_memos) const;
+  /// A group is selectable when its requests fit the bank command queues
+  /// and, if `require_drained`, every bank whose row it would close has
+  /// drained.  Failures are memoized in meta.fit_memo.
+  [[nodiscard]] bool fits(const MemoryController& mc, const WgGroupMeta& meta,
+                          bool require_drained, bool use_memo) const;
+  /// Refresh meta's head_seq/oldest unless cached at its version.
+  void summarize(const WgGroupMeta& meta, bool use_cache) const;
+  [[nodiscard]] Score score_meta(const MemoryController& mc,
+                                 const WgGroupMeta& meta) const;
   /// Drain the current group's read-queue requests into bank queues,
   /// applying MERB admission for row misses when WG-Bw is on.  Returns
   /// the number of requests pushed.
@@ -225,7 +290,8 @@ class WgPolicy final : public TransactionScheduler {
   /// when the request is already queued).
   void index_add(WgGroupMeta& meta, const MemRequest& req);
   /// Record a read request leaving the read queue (called at every
-  /// policy-side erase, immediately before send_to_bank).
+  /// policy-side erase, immediately before send_to_bank): counts it as
+  /// pushed and delists the group from active_ once it drains.
   void index_remove(WgGroupMeta& meta, const MemRequest& req);
   /// Queued requests of `instr` matching (bank, row) — MERB orphan count.
   [[nodiscard]] std::uint32_t group_row_count(const WgGroupMeta& meta,
@@ -236,12 +302,13 @@ class WgPolicy final : public TransactionScheduler {
   std::uint32_t banks_;
   std::unordered_map<WarpInstrUid, WgGroupMeta> groups_;
   std::optional<WarpInstrUid> current_;
-  /// Groups that (may) have queued requests — the candidate universe for
-  /// selection and filler searches, so neither walks the groups_ hash
-  /// table.  Entries are appended by index_add when a drained group gains
-  /// a request, swept out lazily when found empty, and removed eagerly in
-  /// forget_if_done (the meta pointer must not dangle).  Order is
-  /// irrelevant: every consumer totally orders candidates itself.
+  /// Groups with queued requests — the candidate universe for selection
+  /// and filler searches, so neither walks the groups_ hash table.
+  /// index_add appends a group when it gains its first queued request and
+  /// index_remove delists it when it drains, so a group is listed exactly
+  /// while queued() > 0 (and the meta pointer never dangles: only drained
+  /// groups are forgotten).  Order is irrelevant: every consumer totally
+  /// orders candidates itself.
   std::vector<std::pair<WarpInstrUid, WgGroupMeta*>> active_;
 
   /// Controller-wide arrival sequence for read requests; slot items carry
@@ -250,7 +317,7 @@ class WgPolicy final : public TransactionScheduler {
   std::uint64_t next_seq_ = 0;
 
   // Select-skip memo: when select_next_group fails, it records the
-  // controller mutation epoch (and, for age-gated fallback failures, the
+  // controller selection epoch (and, for age-gated fallback failures, the
   // cycle the age bound is reached).  Until either changes, re-running
   // the selection is provably futile and is skipped.
   std::uint64_t skip_epoch_ = ~std::uint64_t{0};
@@ -270,16 +337,6 @@ class WgPolicy final : public TransactionScheduler {
                      std::vector<std::pair<WarpInstrUid, std::uint32_t>>>
       census_;
 
-  /// Scratch candidate list reused across select_next_group calls.
-  struct Cand {
-    WarpInstrUid instr;
-    const WgGroupMeta* meta;
-    std::uint64_t head_seq;  ///< seq of the group's earliest queued request
-    std::uint32_t count;
-    Cycle oldest;
-    std::uint32_t opens_row_mask;  ///< banks where this group row-misses
-  };
-  std::vector<Cand> cands_;
   /// WG-M: recent remote selections kept briefly so a coordination
   /// message can still boost a warp-group whose requests arrive here a
   /// few cycles *after* the remote controller selected it (the crossbar

@@ -58,6 +58,7 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
       bank_tail_row_(timing.banks, kNoRow),
       bank_tail_streak_(timing.banks, 0),
       bank_epoch_(timing.banks, 0),
+      fit_epoch_(timing.banks, 0),
       rr_bank_in_group_(timing.banks / timing.banks_per_group, 0) {
   LATDIV_ASSERT(policy_ != nullptr, "controller needs a policy");
   LATDIV_ASSERT(cfg.wq_low_watermark < cfg.wq_high_watermark &&
@@ -71,6 +72,7 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
 void MemoryController::push(MemRequest req, Cycle now) {
   req.arrived_at_mc = now;
   ++mutation_epoch_;
+  ++selection_epoch_;
   if (req.kind == ReqKind::kRead) {
     LATDIV_ASSERT(!read_q_.full(), "read queue overflow");
     read_q_.push(req);
@@ -87,38 +89,13 @@ void MemoryController::push(MemRequest req, Cycle now) {
 
 void MemoryController::notify_group_complete(const WarpTag& tag, Cycle now) {
   ++mutation_epoch_;
+  ++selection_epoch_;
   policy_->on_group_complete(*this, tag, now);
 }
 
 void MemoryController::deliver_coordination(const CoordMsg& msg, Cycle now) {
   ++mutation_epoch_;
   policy_->on_remote_selection(*this, msg, now);
-}
-
-bool MemoryController::bank_queue_has_space(BankId bank, std::size_t n) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank].size() + n <= cfg_.bank_queue_depth;
-}
-
-std::size_t MemoryController::bank_queue_size(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank].size();
-}
-
-const McBankQueue& MemoryController::bank_queue(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank];
-}
-
-RowId MemoryController::predicted_row(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  const RowId tail = bank_tail_row_[bank];
-  return tail != kNoRow ? tail : channel_.open_row(bank);
-}
-
-std::uint32_t MemoryController::tail_streak(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_tail_streak_[bank];
 }
 
 void MemoryController::send_to_bank(MemRequest req, Cycle now) {
@@ -137,6 +114,8 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
   ++cmdq_total_;
   ++mutation_epoch_;
   ++bank_epoch_[bank];
+  ++selection_epoch_;
+  ++fit_epoch_[bank];
   if (obs_ != nullptr) obs_->req_to_bank(req, now);
 }
 
@@ -159,6 +138,7 @@ void MemoryController::update_drain_mode(Cycle now) {
       opportunistic_mode_ = false;
       ++stats_.drains_started;
       ++mutation_epoch_;
+      ++selection_epoch_;
       wq_at_drain_start_ = write_q_.size();
       writes_arrived_in_drain_ = 0;
       if (obs_ != nullptr) obs_->drain_begin(id_, now);
@@ -168,6 +148,7 @@ void MemoryController::update_drain_mode(Cycle now) {
       write_mode_ = true;
       opportunistic_mode_ = true;
       ++mutation_epoch_;
+      ++selection_epoch_;
       wq_at_drain_start_ = write_q_.size();
       writes_arrived_in_drain_ = 0;
       if (obs_ != nullptr) obs_->drain_begin(id_, now);
@@ -176,12 +157,14 @@ void MemoryController::update_drain_mode(Cycle now) {
     if (write_q_.size() <= cfg_.wq_low_watermark) {
       write_mode_ = false;
       ++mutation_epoch_;
+      ++selection_epoch_;
       if (obs_ != nullptr) obs_->drain_end(id_, now, drained_writes());
     } else if (opportunistic_mode_ && !read_q_.empty() &&
                write_q_.size() < cfg_.wq_high_watermark) {
       // A read arrived during an opportunistic drain: yield to it.
       write_mode_ = false;
       ++mutation_epoch_;
+      ++selection_epoch_;
       if (obs_ != nullptr) obs_->drain_end(id_, now, drained_writes());
     }
   }
@@ -222,6 +205,7 @@ void MemoryController::issue_one_command(Cycle now) {
         channel_.issue(pre, now);
         ++mutation_epoch_;
         ++bank_epoch_[b];
+        note_row_change(b);
         return;
       }
     }
@@ -256,6 +240,9 @@ void MemoryController::issue_one_command(Cycle now) {
       const Cycle done = channel_.issue(cmd, now);
       ++mutation_epoch_;
       ++bank_epoch_[bank];
+      if (cmd.cmd == DramCmd::kActivate || cmd.cmd == DramCmd::kPrecharge) {
+        note_row_change(bank);
+      }
       // The first command issued on behalf of a still-unclassified head
       // fixes its row-buffer outcome: straight CAS = the row was already
       // open (hit), ACT from precharged = miss, PRE of another row =
@@ -283,6 +270,8 @@ void MemoryController::issue_one_command(Cycle now) {
       if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
         MemRequest req = bank_q_[bank].front();
         bank_q_[bank].pop_front();
+        ++selection_epoch_;
+        ++fit_epoch_[bank];
         if (bank_q_[bank].empty()) --nonempty_banks_;
         LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
                       "CAS issued for a request other than the bank head");

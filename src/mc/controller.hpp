@@ -111,17 +111,32 @@ class MemoryController {
   [[nodiscard]] const McRequestQueue& read_queue() const { return read_q_; }
   [[nodiscard]] McRequestQueue& write_queue() { return write_q_; }
   [[nodiscard]] const McRequestQueue& write_queue() const { return write_q_; }
+  // The bank probes are the policies' hottest calls: defined inline.
   [[nodiscard]] bool bank_queue_has_space(BankId bank,
-                                          std::size_t n = 1) const;
-  [[nodiscard]] std::size_t bank_queue_size(BankId bank) const;
-  [[nodiscard]] const McBankQueue& bank_queue(BankId bank) const;
+                                          std::size_t n = 1) const {
+    return bank_queue(bank).size() + n <= cfg_.bank_queue_depth;
+  }
+  [[nodiscard]] std::size_t bank_queue_size(BankId bank) const {
+    return bank_queue(bank).size();
+  }
+  [[nodiscard]] const McBankQueue& bank_queue(BankId bank) const {
+    LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
+    return bank_q_[bank];
+  }
   /// Row a new transaction on `bank` would find "open": the row of the
   /// last transaction enqueued to that bank, falling back to the row open
   /// in the DRAM array (paper §IV-B1's hit/miss estimate).
-  [[nodiscard]] RowId predicted_row(BankId bank) const;
+  [[nodiscard]] RowId predicted_row(BankId bank) const {
+    LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
+    const RowId tail = bank_tail_row_[bank];
+    return tail != kNoRow ? tail : channel_.open_row(bank);
+  }
   /// Consecutive same-row transactions at the tail of `bank`'s planned
   /// sequence (the WG-Bw MERB counter, maintained at insertion time).
-  [[nodiscard]] std::uint32_t tail_streak(BankId bank) const;
+  [[nodiscard]] std::uint32_t tail_streak(BankId bank) const {
+    LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
+    return bank_tail_streak_[bank];
+  }
   /// Move a request (already removed from a request queue) into its bank's
   /// command queue.  Caller must have checked bank_queue_has_space().
   void send_to_bank(MemRequest req, Cycle now);
@@ -158,13 +173,23 @@ class MemoryController {
     LATDIV_DCHECK(bank < bank_epoch_.size(), "bank out of range");
     return bank_epoch_[bank];
   }
-  /// Bumped on every controller-state change a transaction scheduler can
-  /// observe (queue pushes and pulls, command issue, drain-mode flips,
-  /// group-completion and coordination deliveries).  A scheduling
-  /// decision that failed at epoch E cannot succeed at epoch E unless
-  /// time alone changes the answer.
-  [[nodiscard]] std::uint64_t mutation_epoch() const {
-    return mutation_epoch_;
+  /// Bumped only on events that can flip a *failed* warp-group selection:
+  /// read/write pushes, group completions, send_to_bank, CAS pops,
+  /// drain-mode flips, and ACT/PRE on a bank with no tail row (whose
+  /// predicted row falls back to the open row).  Coordination deliveries
+  /// and tail-row ACT/PRE change only scores, which a failed selection
+  /// never reads.  Not part of snapshots: memos keyed on it are dropped
+  /// on load.
+  [[nodiscard]] std::uint64_t selection_epoch() const {
+    return selection_epoch_;
+  }
+  /// Bumped whenever `bank`'s fit state changes: its command-queue length
+  /// (send_to_bank, CAS pop) or its predicted row (send_to_bank, ACT/PRE
+  /// while the bank has no tail row).  Keys per-bank "does not fit" memos;
+  /// not part of snapshots either.
+  [[nodiscard]] std::uint64_t fit_epoch(BankId bank) const {
+    LATDIV_DCHECK(bank < fit_epoch_.size(), "bank out of range");
+    return fit_epoch_[bank];
   }
 
   // Fig. 12 accounting: policies report the warp-groups stalled when a
@@ -191,6 +216,14 @@ class MemoryController {
   };
 
   void update_drain_mode(Cycle now);
+  /// A row opened or closed on `bank`: only predicted-row consumers of a
+  /// bank with no tail row see it.
+  void note_row_change(BankId bank) {
+    if (bank_tail_row_[bank] == kNoRow) {
+      ++selection_epoch_;
+      ++fit_epoch_[bank];
+    }
+  }
   void issue_one_command(Cycle now);
   void complete_reads(Cycle now);
   [[nodiscard]] bool all_bank_queues_empty() const { return cmdq_total_ == 0; }
@@ -223,7 +256,13 @@ class MemoryController {
 
   // Change counters for policy-side caches (see bank_epoch()).
   std::vector<std::uint64_t> bank_epoch_;
+  // Bumped on every scheduler-observable change (pushes, command issue,
+  // drain flips, completion and coordination deliveries).  Nothing reads
+  // it since the select-skip memo moved to selection_epoch_; it stays
+  // because the LDSN snapshot format carries it.
   std::uint64_t mutation_epoch_ = 0;
+  std::uint64_t selection_epoch_ = 0;
+  std::vector<std::uint64_t> fit_epoch_;
 
   bool write_mode_ = false;
   bool opportunistic_mode_ = false;

@@ -20,6 +20,7 @@
 #include "ckpt/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
+#include "core/policy_wg.hpp"
 #include "exp/executor.hpp"
 #include "mc/policy_gmc.hpp"
 #include "scenario/scenario.hpp"
@@ -120,6 +121,45 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n + "_shards1_noff";
     });
+
+// WG-W paused while a failed selection is memoized.  The select-skip memo
+// is keyed on a controller counter that snapshots omit, so it travels as
+// the invalid sentinel and the resumed run re-derives it: the resumed
+// results and end-of-run snapshot must equal the straight run's, and the
+// mid-run snapshot must re-save to the same bytes.
+TEST(CkptResumeWgMemo, ResumeWithSelectMemoArmed) {
+  const SimConfig cfg = scenario_cfg(SchedulerKind::kWgW, "powerlaw-rows");
+  auto memo_armed = [&cfg](Simulator& sim) {
+    for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+      const MemoryController& mc = sim.partition(p).mc();
+      const auto* wg = dynamic_cast<const WgPolicy*>(&mc.policy());
+      if (wg != nullptr && wg->select_memo_armed(mc)) return true;
+    }
+    return false;
+  };
+
+  Simulator straight(cfg);
+  straight.run_to(cfg.max_cycles);
+  const std::vector<unsigned char> straight_end =
+      ckpt::save_snapshot(straight);
+
+  Simulator paused(cfg);
+  paused.run_to(cfg.max_cycles / 4);
+  while (!memo_armed(paused) && paused.now() < cfg.max_cycles / 2) {
+    paused.step();
+  }
+  ASSERT_TRUE(memo_armed(paused)) << "no selection memo armed mid-run";
+  const std::vector<unsigned char> snap = ckpt::save_snapshot(paused);
+
+  Simulator resumed(cfg);
+  ckpt::load_snapshot(resumed, snap.data(), snap.size());
+  EXPECT_FALSE(memo_armed(resumed));
+  EXPECT_EQ(ckpt::save_snapshot(resumed), snap);
+
+  resumed.run_to(cfg.max_cycles);
+  EXPECT_EQ(ckpt::save_snapshot(resumed), straight_end);
+  expect_same_result(straight.finish(), resumed.finish());
+}
 
 // The statistical generator frontend (no custom source) round-trips its
 // per-warp RNG streams the same way the scenario kernels do.

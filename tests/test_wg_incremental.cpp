@@ -8,8 +8,11 @@
 // after every cycle of a randomized event stream (pushes, completions,
 // coordination messages, ticks that drain and fill banks), asserts that
 // the index, the candidate ordering, and every group score are identical
-// to the reference.  Thousands of events per configuration exercise the
-// add/remove/erase paths of all WG variants.
+// to the reference.  After every event it also checks the selection
+// memos: every valid cached (head_seq, oldest) summary must equal the
+// reference scan, and every memoized "does not fit" verdict must agree
+// with an unmemoized fit check.  Thousands of events per configuration
+// exercise the add/remove/erase paths of all WG variants.
 #include "core/policy_wg.hpp"
 
 #include <gtest/gtest.h>
@@ -204,13 +207,61 @@ struct DiffHarness {
     }
   }
 
+  /// Assert every valid cached selection summary equals the reference
+  /// scan: oldest = arrival of the group's first request in the queue,
+  /// head_seq = its earliest indexed request, and the cached head_seqs
+  /// rank groups in queue first-occurrence order.
+  void check_summaries() {
+    std::vector<std::pair<std::uint64_t, WarpInstrUid>> cached;
+    for (const WarpInstrUid instr : ref_candidate_order(mc)) {
+      const WgGroupMeta& meta = wg->groups().at(instr);
+      if (meta.summary_version != meta.version) continue;  // not cached
+      std::uint64_t head = ~std::uint64_t{0};
+      for (const WgGroupMeta::BankSlot& slot : meta.slots) {
+        if (!slot.items.empty()) {
+          head = std::min(head, slot.items.front().seq);
+        }
+      }
+      EXPECT_EQ(meta.head_seq, head) << "instr " << instr;
+      EXPECT_EQ(meta.oldest, ref_pending(mc, instr).front().arrived_at_mc)
+          << "instr " << instr;
+      cached.emplace_back(meta.head_seq, instr);
+      ++summaries_checked;
+    }
+    // ref_candidate_order is queue order, so the cached keys must already
+    // be ascending.
+    EXPECT_TRUE(std::is_sorted(cached.begin(), cached.end()));
+  }
+
+  /// Assert every memoized fit failure agrees with a fresh fit check.
+  void check_fit_memos() {
+    for (const WarpInstrUid instr : ref_candidate_order(mc)) {
+      const WgGroupMeta& meta = wg->groups().at(instr);
+      for (const bool require_drained : {false, true}) {
+        if (!meta.fit_memo_blocks(mc, require_drained)) continue;
+        EXPECT_FALSE(wg->fits_unmemoized(mc, meta, require_drained))
+            << "instr " << instr << " require_drained " << require_drained;
+        ++fit_memos_checked;
+      }
+    }
+  }
+
+  void check_all() {
+    check_index();
+    check_scores();
+    check_summaries();
+    check_fit_memos();
+  }
+
   WgConfig cfg_;
   WgPolicy* wg = nullptr;
   MemoryController mc;
+  std::uint64_t summaries_checked = 0;
+  std::uint64_t fit_memos_checked = 0;
 };
 
 /// Drive `cycles` of randomized traffic through the controller, checking
-/// the index and the scores after every cycle.
+/// the index, the scores and the selection memos after every event.
 void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
   DiffHarness h(cfg);
   Lcg rng{seed};
@@ -238,12 +289,14 @@ void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
         h.mc.push(r, now);
         --entry.second;
         advanced = true;
+        h.check_all();
       }
       if (entry.second == 0) {
         // All requests arrived: complete the group (sometimes late).
         if (rng.below(2) == 0) {
           h.mc.notify_group_complete(entry.first, now);
           it = open.erase(it);
+          h.check_all();
           continue;
         }
       }
@@ -257,13 +310,16 @@ void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
       msg.tag.instr = 1 + rng.below(static_cast<std::uint32_t>(next_uid) + 2);
       msg.score = rng.below(12);
       h.mc.deliver_coordination(msg, now);
+      h.check_all();
     }
 
     h.mc.tick(now);
-    h.check_index();
-    h.check_scores();
+    h.check_all();
     if (::testing::Test::HasFatalFailure()) return;
   }
+  // Both memo checks must have had something to check.
+  EXPECT_GT(h.summaries_checked, 0u);
+  EXPECT_GT(h.fit_memos_checked, 0u);
 }
 
 TEST(WgIncremental, DifferentialWg) {
