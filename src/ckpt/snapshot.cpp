@@ -297,7 +297,10 @@ void Sm::ckpt_io(Ar& ar) {
   io_seq(ar, lsu_.queue, [&ar](MemRequest& req) { io_req(ar, req); });
   io_size(ar, lsu_.next);
   ar.u64(mem_epoch_);
+  // The legacy wake-up field (see Sm::idle_until_); the idle memo that
+  // times the SM is not in the format, so a loaded SM rescans at once.
   ar.u64(idle_until_);
+  if constexpr (!Ar::kIsWriter) sleep_until_ = 0;
   ar.u16(last_issued_);
   ar.u64(next_uid_);
   ar.u64(stats_.instructions);
@@ -389,6 +392,28 @@ void Crossbar::ckpt_io(Ar& ar) {
   ar.u64(stats_.requests_moved);
   ar.u64(stats_.responses_moved);
   ar.u64(stats_.inject_stalls);
+  if constexpr (!Ar::kIsWriter) {
+    // Every queued packet becomes a head some day, and a head names the
+    // mask it lands in: refuse routes the geometry has no port for.
+    for (const auto& q : sm_queues_) {
+      for (const MemRequest& req : q) {
+        if (req.loc.channel >= cfg_.partitions) {
+          throw ckpt::CkptError(
+              "snapshot corrupt: crossbar request for an unknown partition");
+        }
+      }
+    }
+    for (const auto& q : part_out_) {
+      for (const MemResponse& resp : q) {
+        if (resp.tag.sm >= cfg_.sms) {
+          throw ckpt::CkptError(
+              "snapshot corrupt: crossbar response for an unknown SM");
+        }
+      }
+    }
+    // The occupancy masks and counts are derived from the queues above.
+    rebuild_masks();
+  }
 }
 
 template <class Ar>

@@ -6,6 +6,31 @@
 
 namespace latdiv {
 
+namespace {
+
+/// Offer warps to `attempt` in the warp scheduler's order until it
+/// returns true; returns whether it did.
+template <class F>
+bool scan_warps(WarpSchedPolicy policy, WarpId last_issued, WarpId n,
+                F&& attempt) {
+  if (policy == WarpSchedPolicy::kGto) {
+    // Greedy-then-oldest: stick with the last issuer, else lowest warp id.
+    if (attempt(last_issued)) return true;
+    for (WarpId wid = 0; wid < n; ++wid) {
+      if (wid != last_issued && attempt(wid)) return true;
+    }
+    return false;
+  }
+  // Loose round-robin: resume scanning after the last issuer, spreading
+  // issue slots (and therefore memory divergence) across all warps.
+  for (WarpId off = 1; off <= n; ++off) {
+    if (attempt(static_cast<WarpId>((last_issued + off) % n))) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Sm::Sm(SmId id, const SmConfig& cfg, InstrSource& gen,
        const AddressMap& amap, Crossbar& xbar, InstrTracker& tracker,
        WarpInstrUid uid_base, WarpInstrUid uid_stride)
@@ -29,7 +54,8 @@ void Sm::accept_response(Cycle now) {
   auto resp = xbar_.pop_response(id_, now);
   if (!resp) return;
   ++mem_epoch_;
-  idle_until_ = 0;  // the fill below may wake a warp
+  sleep_until_ = 0;  // the fill below may wake a warp or unblock a load
+  idle_until_ = 0;
   l1_.fill(resp->addr, /*dirty=*/false);
   for (const MemRequest& waiter : mshr_.release(resp->addr)) {
     Warp& w = warps_[waiter.tag.warp];
@@ -62,6 +88,7 @@ void Sm::dispatch_lsu(Cycle now) {
     lsu_.active = false;
     lsu_.queue.clear();
     lsu_.next = 0;
+    sleep_until_ = 0;  // memory instructions may issue again
   }
 }
 
@@ -81,6 +108,24 @@ void Sm::generate_next(WarpId wid) {
   if (w.next.kind != WarpInstr::Kind::kCompute) {
     coalescer_.coalesce(w.next, w.lines);
   }
+}
+
+bool Sm::classify_load(const std::vector<Addr>& lines,
+                       std::uint32_t& pending) const {
+  std::uint32_t new_fetches = 0;
+  std::uint32_t merges = 0;
+  for (Addr line : lines) {
+    if (l1_.probe(line)) continue;
+    if (mshr_.tracking(line)) {
+      if (!mshr_.can_accept(line)) return false;
+      ++merges;
+    } else {
+      ++new_fetches;
+    }
+  }
+  if (new_fetches > mshr_.free_entries()) return false;
+  pending = new_fetches + merges;
+  return true;
 }
 
 bool Sm::issue_memory(WarpId wid, Cycle now) {
@@ -124,24 +169,8 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
 
   // Load: classify every line first so MSHR space for the whole access
   // can be reserved atomically (a half-issued vector load cannot replay).
-  std::uint32_t new_fetches = 0;
-  std::uint32_t merges = 0;
-  std::uint32_t hits = 0;
-  for (Addr line : lines) {
-    if (l1_.probe(line)) {
-      ++hits;
-    } else if (mshr_.tracking(line)) {
-      if (!mshr_.can_accept(line)) {
-        w.issue_fail_epoch = mem_epoch_ + 1;
-        ++stats_.issue_stall_mshr;
-        return false;
-      }
-      ++merges;
-    } else {
-      ++new_fetches;
-    }
-  }
-  if (new_fetches > mshr_.free_entries()) {
+  std::uint32_t pending = 0;
+  if (!classify_load(lines, pending)) {
     w.issue_fail_epoch = mem_epoch_ + 1;
     ++stats_.issue_stall_mshr;
     return false;
@@ -176,7 +205,7 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
     }
   }
 
-  w.pending_lines = new_fetches + merges;
+  w.pending_lines = pending;
   if (w.pending_lines == 0) {
     w.ready_at = now + cfg_.l1_hit_latency;
   } else {
@@ -216,52 +245,83 @@ void Sm::try_issue(Cycle now) {
     last_issued_ = wid;
     return true;
   };
-
-  if (cfg_.warp_sched == WarpSchedPolicy::kGto) {
-    // Greedy-then-oldest: stick with the last issuer, else lowest warp id.
-    if (attempt(last_issued_)) return;
-    for (WarpId wid = 0; wid < warps_.size(); ++wid) {
-      if (wid != last_issued_ && attempt(wid)) return;
-    }
-  } else {
-    // Loose round-robin: resume scanning after the last issuer, spreading
-    // issue slots (and therefore memory divergence) across all warps.
-    const auto n = static_cast<WarpId>(warps_.size());
-    for (WarpId off = 1; off <= n; ++off) {
-      const auto wid = static_cast<WarpId>((last_issued_ + off) % n);
-      if (attempt(wid)) return;
-    }
+  if (scan_warps(cfg_.warp_sched, last_issued_,
+                 static_cast<WarpId>(warps_.size()), attempt)) {
+    return;
   }
   ++stats_.no_ready_warp_cycles;
-  // Nothing issued and every warp holds a pre-generated instruction: the
-  // scan is a no-op until the earliest wake-up (next_event returns `now`
-  // whenever any state — LSU, MSHR stall, missing instruction — makes a
-  // retry meaningful, so this memo never skips a tick that could act).
-  idle_until_ = next_event(now);
+  arm_idle_memo(now, mem_tried);
+}
+
+void Sm::arm_idle_memo(Cycle now, bool mem_attempt) {
+  // The failed scan visited every warp, so each holds its next
+  // instruction, and none is a compute instruction ready at `now`.  Until
+  // one of these events, every scan fails the same way:
+  //   * a response fills L1 and releases MSHRs (accept_response clears
+  //     the memo);
+  //   * the LSU drains (dispatch_lsu clears the memo): memory warps held
+  //     back by the busy LSU, and a store's warp, become issuable;
+  //   * an unblocked warp's ready_at arrives: it may be a compute
+  //     instruction, or a memory one ahead of the stalled warp in scan
+  //     order — the wake bound below.
+  // A memory warp ready at `now` with the LSU idle is the one the scan
+  // tried, or behind it: the tried warp's load failed MSHR
+  // classification, and its issue_fail_epoch repeats that failure until
+  // mem_epoch_ moves, so each skipped tick replays that stall count.
+  Cycle wake = kNoCycle;
+  bool ready_now = lsu_.active;
+  for (const Warp& w : warps_) {
+    LATDIV_DCHECK(w.has_next, "failed scan left a warp without an instruction");
+    if (w.pending_lines > 0 || w.waiting_lsu) continue;  // response-driven
+    if (w.ready_at <= now) {
+      ready_now = true;
+    } else {
+      wake = std::min(wake, w.ready_at);
+    }
+  }
+  sleep_until_ = wake;
+  sleep_mem_attempt_ = mem_attempt;
+  sleep_tracks_now_ = ready_now;
+  idle_until_ = ready_now ? now : wake;
+}
+
+Sm::ScanOutcome Sm::evaluate_scan(Cycle now) const {
+  ScanOutcome out;
+  scan_warps(cfg_.warp_sched, last_issued_,
+             static_cast<WarpId>(warps_.size()), [&](WarpId wid) {
+               const Warp& w = warps_[wid];
+               if (!w.has_next) return out.issues = true;  // would draw
+               if (!issuable(w, now)) return false;
+               if (w.next.kind == WarpInstr::Kind::kCompute) {
+                 return out.issues = true;
+               }
+               if (out.mem_attempt) return false;
+               out.mem_attempt = true;
+               // A memoized MSHR failure fails the real scan's retry too.
+               std::uint32_t pending = 0;
+               out.issues = w.next.kind == WarpInstr::Kind::kStore ||
+                            (w.issue_fail_epoch != mem_epoch_ + 1 &&
+                             classify_load(w.lines, pending));
+               return out.issues;
+             });
+  return out;
 }
 
 void Sm::tick(Cycle now) {
   accept_response(now);
   dispatch_lsu(now);
-  if (now < idle_until_) {
-    // Provably idle scheduler tick (see try_issue): same accounting,
-    // no warp scan.
+  if (now < sleep_until_) {
+    // Provably idle scheduler tick (see arm_idle_memo): the counts the
+    // scan would make, no warp scan.
+    LATDIV_DCHECK(
+        (evaluate_scan(now) == ScanOutcome{false, sleep_mem_attempt_}),
+        "idle memo skipped a scan that could act");
     ++stats_.no_ready_warp_cycles;
+    if (sleep_mem_attempt_) ++stats_.issue_stall_mshr;
+    if (sleep_tracks_now_) idle_until_ = now;
     return;
   }
   try_issue(now);
-}
-
-Cycle Sm::next_event(Cycle now) const {
-  if (lsu_.active) return now;
-  Cycle ev = kNoCycle;
-  for (const Warp& w : warps_) {
-    if (!w.has_next) return now;  // a tick would draw from the shared stream
-    if (w.pending_lines > 0 || w.waiting_lsu) continue;  // response-driven
-    if (w.ready_at <= now) return now;
-    ev = std::min(ev, w.ready_at);
-  }
-  return ev;
 }
 
 }  // namespace latdiv

@@ -68,21 +68,16 @@ class Sm {
   /// Core-domain tick.
   void tick(Cycle now);
 
-  /// Earliest core-domain cycle >= now at which a tick can change this
-  /// SM's own state (the idle_until_ memo of try_issue): `now` while the
-  /// LSU is busy, a warp lacks a pre-generated instruction (the next draw
-  /// from the shared instruction stream is globally ordered and must not
-  /// move), or any unblocked warp is ready; otherwise the earliest
-  /// ready_at of the unblocked warps.  Warps blocked on loads are woken
-  /// externally (the crossbar's response queues carry that event), so
-  /// they contribute nothing; kNoCycle when every warp is blocked.
-  [[nodiscard]] Cycle next_event(Cycle now) const;
+  /// Drop the idle memo so the next tick rescans every warp.  Calling
+  /// this before every step runs the SM without its idle-tick skip — the
+  /// reference the memo must match bit for bit (tests/test_idle_memo.cpp).
+  void forget_idle_memo() { sleep_until_ = 0; }
 
-  /// Drop the idle_until_ memo so the next tick rescans every warp.  A
-  /// driver that calls this before every step runs the SM without its
-  /// idle-tick fast-forward — the reference the memo must match bit for
-  /// bit (tests/test_idle_memo.cpp).
-  void forget_idle_memo() { idle_until_ = 0; }
+  /// True while the idle memo skips the scan at `now` on behalf of a
+  /// warp whose load cannot reserve MSHRs (a test probe).
+  [[nodiscard]] bool mshr_stall_memo_armed(Cycle now) const {
+    return now < sleep_until_ && sleep_mem_attempt_;
+  }
 
   [[nodiscard]] const SmStats& stats() const { return stats_; }
   [[nodiscard]] const Coalescer& coalescer() const { return coalescer_; }
@@ -138,10 +133,28 @@ class Sm {
     std::size_t next = 0;
   };
 
+  /// What a scheduler scan would do, computed without committing it.
+  struct ScanOutcome {
+    bool issues = false;
+    bool mem_attempt = false;  ///< a memory instruction gets the LSU try
+    friend bool operator==(const ScanOutcome&,
+                           const ScanOutcome&) = default;
+  };
+
   void accept_response(Cycle now);
   void dispatch_lsu(Cycle now);
   void try_issue(Cycle now);
+  /// After a failed scan at `now`: arm the idle memo (see sleep_until_).
+  void arm_idle_memo(Cycle now, bool mem_attempt);
+  /// The scan at `now`, re-evaluated without the idle memo (checks every
+  /// tick the idle memo skips under LATDIV_DCHECK).
+  [[nodiscard]] ScanOutcome evaluate_scan(Cycle now) const;
   [[nodiscard]] bool issuable(const Warp& w, Cycle now) const;
+  /// Classify a load's lines against L1 and the MSHRs: false when the
+  /// whole access cannot reserve MSHR space, else true with `pending` set
+  /// to the number of lines the warp will wait on.
+  [[nodiscard]] bool classify_load(const std::vector<Addr>& lines,
+                                   std::uint32_t& pending) const;
   bool issue_memory(WarpId wid, Cycle now);
   void generate_next(WarpId wid);
 
@@ -158,12 +171,25 @@ class Sm {
   std::vector<Warp> warps_;
   Lsu lsu_;
   /// Bumped whenever L1 or MSHR contents change (fills, releases,
-  /// invalidates, reservations) — the entire state the issue_memory
+  /// invalidates, reservations) — the entire state the load
   /// classify loop reads.  Keys the per-warp issue_fail_epoch memo.
   std::uint64_t mem_epoch_ = 0;
-  /// Until this cycle no warp can issue (set by a fully-failed scheduler
-  /// scan via next_event(); reset whenever a response wakes a warp).  A
-  /// tick before it skips the warp scan and just counts the idle cycle.
+  /// Idle memo: until this cycle every scheduler scan fails the same way,
+  /// so a tick skips it and replays its counts.  Armed by a failed scan
+  /// (arm_idle_memo) at the earliest ready_at of the unblocked warps;
+  /// cleared by a response and by an LSU drain.  Not serialized: load
+  /// drops it.
+  Cycle sleep_until_ = 0;
+  /// The failed scan that armed the memo made a memory attempt (an
+  /// MSHR stall): each skipped tick counts issue_stall_mshr too.
+  bool sleep_mem_attempt_ = false;
+  /// The armed scan had the LSU busy or a warp ready at its tick, so the
+  /// legacy idle_until_ follows the tick through the skip stretch.
+  bool sleep_tracks_now_ = false;
+  /// The wake-up the earlier, narrower memo rule would hold here: the
+  /// failed scan's tick when the LSU was busy or a warp was ready at it,
+  /// else the earliest ready_at; zeroed by a response.  Nothing reads it
+  /// for timing; it is kept only because the LDSN format carries it.
   Cycle idle_until_ = 0;
   WarpId last_issued_ = 0;
   WarpInstrUid next_uid_;

@@ -15,6 +15,14 @@
 //
 // Response side: symmetric — per-partition output FIFOs, one response
 // delivered per SM per cycle, fixed pipeline latency each way.
+//
+// Arbitration reads occupancy masks, not the queues: for each partition
+// the set of SMs whose queue head targets it, and for each SM the set of
+// partitions whose output head targets it.  Every push and pop that
+// changes a head updates them, so a grant is a find-next-set-bit from the
+// round-robin pointer and a tick costs in proportion to the heads that
+// can move.  The masks are derived state: snapshots omit them and load
+// rebuilds them from the queues.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/bitmatrix.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 #include "mem/request.hpp"
@@ -73,17 +82,9 @@ class Crossbar {
 
   // Occupancy snapshots (time-series sampling; no timing effects).
   /// Requests waiting in SM injection queues.
-  [[nodiscard]] std::size_t requests_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : sm_queues_) n += q.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t requests_queued() const { return req_queued_; }
   /// Responses waiting in partition output queues.
-  [[nodiscard]] std::size_t responses_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : part_out_) n += q.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t responses_queued() const { return resp_queued_; }
 
   /// Snapshot serialization of every queue + arbiter pointer (src/ckpt).
   template <class Ar>
@@ -96,6 +97,15 @@ class Crossbar {
     T payload;
   };
 
+  /// Enter the head of SM `sm`'s queue / partition `p`'s output queue
+  /// (if any) into the occupancy masks.
+  void note_sm_head(std::uint32_t sm);
+  void note_part_head(std::uint32_t p);
+  /// Recompute masks and counts from the queues (snapshot load, and the
+  /// LATDIV_DCHECK recount in tick).
+  void rebuild_masks();
+  [[nodiscard]] bool masks_match_queues() const;
+
   IcntConfig cfg_;
   std::vector<std::deque<MemRequest>> sm_queues_;
   std::vector<std::deque<Timed<MemRequest>>> part_in_;
@@ -104,6 +114,14 @@ class Crossbar {
   std::vector<std::uint32_t> part_rr_;      ///< per-partition SM pointer
   std::vector<std::uint32_t> part_sticky_;  ///< last granted SM (sticky mode)
   std::vector<std::uint32_t> sm_rr_;        ///< per-SM partition pointer
+  /// Row per partition: SMs whose injection-queue head targets it.
+  BitMatrix req_heads_;
+  /// Row per SM: partitions whose output-queue head targets it.
+  BitMatrix resp_heads_;
+  /// One row: SMs with a non-empty resp_heads_ row.
+  BitMatrix resp_sms_;
+  std::size_t req_queued_ = 0;
+  std::size_t resp_queued_ = 0;
   IcntStats stats_;
 };
 

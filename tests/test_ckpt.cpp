@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "ckpt/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
@@ -154,6 +155,44 @@ TEST(CkptResumeWgMemo, ResumeWithSelectMemoArmed) {
   Simulator resumed(cfg);
   ckpt::load_snapshot(resumed, snap.data(), snap.size());
   EXPECT_FALSE(memo_armed(resumed));
+  EXPECT_EQ(ckpt::save_snapshot(resumed), snap);
+
+  resumed.run_to(cfg.max_cycles);
+  EXPECT_EQ(ckpt::save_snapshot(resumed), straight_end);
+  expect_same_result(straight.finish(), resumed.finish());
+}
+
+// Paused while an SM's idle memo is skipping ticks for an MSHR-stalled
+// load.  The memo is not in the format (only the legacy idle_until_ word
+// is), so the resumed SM rescans at once and must re-derive it: the mid-run
+// snapshot re-saves to the same bytes, and the resumed end-of-run snapshot
+// and results equal the straight run's.
+TEST(CkptResumeIdleMemo, ResumeInMshrStallSkip) {
+  SimConfig cfg = scenario_cfg(SchedulerKind::kGmc, "powerlaw-rows");
+  cfg.sm.l1_mshr = MshrConfig{8, 8};
+  auto stalled = [&cfg](Simulator& sim) {
+    for (std::uint32_t s = 0; s < cfg.num_sms; ++s) {
+      if (sim.sm(s).mshr_stall_memo_armed(sim.now())) return true;
+    }
+    return false;
+  };
+
+  Simulator straight(cfg);
+  straight.run_to(cfg.max_cycles);
+  const std::vector<unsigned char> straight_end =
+      ckpt::save_snapshot(straight);
+
+  Simulator paused(cfg);
+  paused.run_to(cfg.max_cycles / 4);
+  while (!stalled(paused) && paused.now() < cfg.max_cycles / 2) {
+    paused.step();
+  }
+  ASSERT_TRUE(stalled(paused)) << "no SM in an MSHR-stall skip mid-run";
+  const std::vector<unsigned char> snap = ckpt::save_snapshot(paused);
+
+  Simulator resumed(cfg);
+  ckpt::load_snapshot(resumed, snap.data(), snap.size());
+  EXPECT_FALSE(stalled(resumed));
   EXPECT_EQ(ckpt::save_snapshot(resumed), snap);
 
   resumed.run_to(cfg.max_cycles);
@@ -363,6 +402,42 @@ TEST_F(CkptErrors, CorruptedPayloadFailsSectionCrc) {
   expect_load_error(bad, "snapshot corrupt: CRC mismatch in section 'CORE'");
   EXPECT_THROW((void)ckpt::inspect_snapshot(bad.data(), bad.size()),
                ckpt::CkptError);
+}
+
+TEST_F(CkptErrors, CrossbarRequestForUnknownPartition) {
+  // Re-route the first request queued at an SM to a partition the
+  // geometry lacks, and re-seal the ICNT section's CRC so only the route
+  // is wrong.  The crossbar rebuilds its occupancy masks from the queues
+  // on load; a route with no port must be refused, not indexed.
+  std::vector<unsigned char> bad = snap_;
+  std::size_t pos = ckpt::kSnapshotHeaderBytes;
+  while (std::string(reinterpret_cast<const char*>(&bad[pos]), 4) != "ICNT") {
+    pos += ckpt::kSectionHeaderBytes + get_le32(&bad[pos + 4]) +
+           ckpt::kSectionTrailerBytes;
+    ASSERT_LT(pos, bad.size());
+  }
+  const std::uint32_t len = get_le32(&bad[pos + 4]);
+  const std::size_t payload = pos + ckpt::kSectionHeaderBytes;
+  // ICNT opens with the crossbar: SM count, then per SM a request count
+  // and the requests, each with its DramLoc channel byte at offset 21
+  // (address, kind, tag).
+  constexpr std::size_t kChannelAt = 21;
+  std::size_t at = payload + 8;
+  std::size_t channel_byte = 0;
+  for (std::uint32_t sm = 0; sm < cfg_.num_sms; ++sm) {
+    const std::uint64_t n = get_le64(&bad[at]);
+    at += 8;
+    if (n > 0) {
+      channel_byte = at + kChannelAt;
+      break;
+    }
+  }
+  ASSERT_NE(channel_byte, 0u) << "no request queued at any SM";
+  ASSERT_LT(bad[channel_byte], cfg_.icnt.partitions);
+  bad[channel_byte] = 0xFF;
+  put_le32(&bad[payload + len], crc32(&bad[payload], len));
+  expect_load_error(
+      bad, "snapshot corrupt: crossbar request for an unknown partition");
 }
 
 TEST_F(CkptErrors, CustomPolicyRefusesToSnapshot) {

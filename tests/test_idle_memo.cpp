@@ -1,16 +1,22 @@
-// SM idle-tick fast-forward equivalence: an SM whose scheduler scan fails
-// memoizes its next wake-up (Sm::tick's idle_until_) and skips the warp
-// scan until then, counting each skipped tick as idle.  The memo must
-// never skip a tick that could act, so a run with it must be bit-identical
-// to a run that forgets it before every step (DESIGN.md, "Per-component
-// memos").
+// SM idle-tick memo equivalence: an SM whose scheduler scan fails
+// memoizes when a scan could next act (Sm::tick's sleep_until_) and skips
+// the warp scan until then, replaying the idle and MSHR-stall counts each
+// skipped tick would make.  The memo must never skip a tick that could
+// act, so a run with it must be bit-identical to a run that forgets it
+// before every step (DESIGN.md, "Per-component memos").
 //
 // The comparison goes through exp::metrics_from, the same flattening the
 // sweep artifacts use, so every reported metric is covered, and then
 // spot-checks the raw counters the flattening rounds through doubles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "ckpt/sampler.hpp"
 #include "exp/executor.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 
 namespace latdiv {
@@ -24,24 +30,39 @@ SimConfig small_cfg(SchedulerKind sched, const char* workload) {
   return cfg;
 }
 
-/// Run `cfg` to completion with every SM's idle memo dropped before each
-/// step: every scheduler tick rescans its warps.
-RunResult run_without_idle_memo(const SimConfig& cfg) {
-  Simulator sim(cfg);
-  while (sim.now() < cfg.max_cycles) {
-    for (std::uint32_t i = 0; i < cfg.num_sms; ++i) {
-      sim.sm(i).forget_idle_memo();
+SimConfig scenario_cfg(SchedulerKind sched, const std::string& scenario) {
+  SimConfig cfg;
+  cfg.shrink_for_tests();
+  cfg.scheduler = sched;
+  cfg.workload.name = scenario;
+  cfg.instr_source = [scenario](std::uint32_t sms, std::uint32_t warps,
+                                std::uint64_t s) {
+    return scenario::make_scenario(scenario::scenario_by_name(scenario), sms,
+                                   warps, s);
+  };
+  return cfg;
+}
+
+/// Advance `sim` to `end`; with `forget`, every SM's idle memo is dropped
+/// before each step, so every scheduler tick rescans its warps.  Returns
+/// the SM-steps that began with an MSHR-stall memo armed.
+std::uint64_t advance(Simulator& sim, Cycle end, bool forget) {
+  std::uint64_t armed = 0;
+  const std::uint32_t sms = sim.config().num_sms;
+  while (sim.now() < end) {
+    for (std::uint32_t i = 0; i < sms; ++i) {
+      if (forget) {
+        sim.sm(i).forget_idle_memo();
+      } else if (sim.sm(i).mshr_stall_memo_armed(sim.now())) {
+        ++armed;
+      }
     }
     sim.step();
   }
-  return sim.finish();
+  return armed;
 }
 
-/// Run `cfg` with the idle memo off and on; every metric must match.
-void expect_equivalent(const SimConfig& cfg) {
-  const RunResult off = run_without_idle_memo(cfg);
-  const RunResult on = Simulator(cfg).run();
-
+void expect_same(const RunResult& off, const RunResult& on) {
   EXPECT_EQ(exp::metrics_from(off), exp::metrics_from(on));
   EXPECT_EQ(off.instructions, on.instructions);
   EXPECT_EQ(off.core_cycles, on.core_cycles);
@@ -54,6 +75,17 @@ void expect_equivalent(const SimConfig& cfg) {
   EXPECT_EQ(off.wg_groups_selected, on.wg_groups_selected);
   EXPECT_EQ(off.wg_fallback_selections, on.wg_fallback_selections);
   EXPECT_EQ(off.wg_merb_deferrals, on.wg_merb_deferrals);
+}
+
+/// Run `cfg` with the idle memo off and on; every metric must match.
+/// Returns the SM-steps the memo run spent in an MSHR-stall skip.
+std::uint64_t expect_equivalent(const SimConfig& cfg) {
+  Simulator off(cfg);
+  advance(off, cfg.max_cycles, /*forget=*/true);
+  Simulator on(cfg);
+  const std::uint64_t armed = advance(on, cfg.max_cycles, /*forget=*/false);
+  expect_same(off.finish(), on.finish());
+  return armed;
 }
 
 class FastForwardAllSchedulers
@@ -110,6 +142,71 @@ TEST(FastForward, IdenticalWithRefreshDisabled) {
   SimConfig cfg = small_cfg(SchedulerKind::kWgBw, "kmeans");
   cfg.dram.refresh_enabled = false;
   expect_equivalent(cfg);
+}
+
+TEST(FastForward, IdenticalUnderLooseRoundRobin) {
+  // LRR resumes its scan after the last issuer: the warp that takes the
+  // scan's one memory attempt depends on that pointer.
+  SimConfig cfg = small_cfg(SchedulerKind::kGmc, "bfs");
+  cfg.sm.warp_sched = WarpSchedPolicy::kLrr;
+  expect_equivalent(cfg);
+}
+
+TEST(FastForward, IdenticalWithPerfectCoalescing) {
+  // One line per load: far fewer MSHR stalls and far more LSU-busy
+  // stretches than the divergent default.
+  SimConfig cfg = small_cfg(SchedulerKind::kWgW, "bfs");
+  cfg.sm.perfect_coalescing = true;
+  expect_equivalent(cfg);
+}
+
+TEST(FastForward, IdenticalOnScenarioSources) {
+  for (const char* scenario : {"powerlaw-rows", "pointer-chase"}) {
+    SCOPED_TRACE(scenario);
+    expect_equivalent(scenario_cfg(SchedulerKind::kWgM, scenario));
+  }
+}
+
+TEST(FastForward, IdenticalUnderMshrPressure) {
+  // Four MSHRs and 32 warps: loads stall on MSHRs most of the time, so
+  // most skipped ticks replay an issue_stall_mshr count.
+  SimConfig cfg = small_cfg(SchedulerKind::kGmc, "bfs");
+  cfg.sm.warps = 32;
+  cfg.sm.l1_mshr = MshrConfig{4, 8};
+  EXPECT_GT(expect_equivalent(cfg), 0u) << "no MSHR-stall skip was taken";
+}
+
+TEST(FastForward, IdenticalThroughSampledSkips) {
+  // Sampled mode: detailed spans alternate with functional-warming skips
+  // (Sm::warm_line, Simulator::teleport), which change L1 contents and
+  // the clock without a tick; the fixed issue rates make both runs draw
+  // the same warming stream.
+  SimConfig cfg = small_cfg(SchedulerKind::kGmc, "bfs");
+  cfg.check.protocol = false;
+  cfg.check.invariants = false;
+  cfg.sm.l1_mshr = MshrConfig{8, 8};
+  cfg.max_cycles = 40'000;
+  ckpt::SamplingConfig scfg;
+  scfg.warm_cycles = 1'000;
+  scfg.detail_cycles = 2'000;
+  scfg.period_cycles = 8'000;
+  auto sampled = [&](bool forget) {
+    Simulator sim(cfg);
+    ckpt::SampledRunner runner(sim, scfg);
+    runner.freeze_issue_rates(std::vector<std::uint64_t>(cfg.num_sms, 400));
+    for (Cycle start = 0; start < cfg.max_cycles;
+         start += scfg.period_cycles) {
+      advance(sim,
+              std::min(start + scfg.warm_cycles + scfg.detail_cycles,
+                       cfg.max_cycles),
+              forget);
+      const Cycle next = std::min(start + scfg.period_cycles, cfg.max_cycles);
+      runner.skip_to(next);
+    }
+    EXPECT_GT(runner.warm_instructions(), 0u);
+    return sim.finish();
+  };
+  expect_same(sampled(/*forget=*/true), sampled(/*forget=*/false));
 }
 
 TEST(FastForward, CustomPolicyDefaultQuiescentIsSafe) {
