@@ -14,15 +14,17 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
                 "size must divide into sets evenly");
   sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.ways);
   LATDIV_ASSERT(std::has_single_bit(sets_), "set count must be a power of 2");
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets_));
   lines_.resize(static_cast<std::size_t>(sets_) * cfg.ways);
 }
 
 std::uint32_t Cache::set_of(Addr addr) const noexcept {
-  return static_cast<std::uint32_t>((addr / cfg_.line_bytes) & (sets_ - 1));
+  return static_cast<std::uint32_t>((addr >> line_shift_) & (sets_ - 1));
 }
 
 Addr Cache::tag_of(Addr addr) const noexcept {
-  return addr / cfg_.line_bytes / sets_;
+  return addr >> (line_shift_ + set_shift_);
 }
 
 Cache::Line* Cache::find(Addr addr) noexcept {
@@ -74,7 +76,7 @@ std::optional<Addr> Cache::fill(Addr addr, bool dirty) {
       ++stats_.dirty_evictions;
       // Reconstruct the victim's line base address from its tag and the
       // set index (shared with the incoming line).
-      writeback = (victim->tag * sets_ + set_of(addr)) * cfg_.line_bytes;
+      writeback = ((victim->tag << set_shift_) | set_of(addr)) << line_shift_;
     }
   }
   victim->tag = tag_of(addr);

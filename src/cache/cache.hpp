@@ -90,6 +90,10 @@ class Cache {
 
   CacheConfig cfg_;
   std::uint32_t sets_;
+  // Both geometry terms are powers of two (asserted at construction), so
+  // indexing is shifts and masks, never a division.
+  std::uint32_t line_shift_;  ///< log2(line_bytes)
+  std::uint32_t set_shift_;   ///< log2(sets_)
   std::uint64_t use_clock_ = 0;
   std::vector<Line> lines_;  // sets_ * ways, set-major
   CacheStats stats_;

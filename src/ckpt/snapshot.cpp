@@ -501,6 +501,11 @@ void MemoryController::ckpt_io(Ar& ar) {
     policy_->ckpt_save(ar);
   } else {
     policy_->ckpt_load(ar);
+    // Memos are never serialized: a new selection epoch retires every
+    // policy memo keyed on the old one (also behind wrappers that forward
+    // no ckpt_load), and the command memo rebuilds from the loaded state.
+    ++selection_epoch_;
+    forget_issue_memo();
   }
 }
 

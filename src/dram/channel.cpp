@@ -27,66 +27,52 @@ bool Channel::all_banks_closed() const {
                      [](RowId row) { return row == kNoRow; });
 }
 
-bool Channel::refresh_due(Cycle now) const {
-  return timing_.refresh_enabled && now >= next_refresh_at_;
-}
-
-bool Channel::act_legal(BankId bank, Cycle now) const {
-  if (bank_row_[bank] != kNoRow) return false;       // must be precharged
-  if (now < bank_earliest_act_[bank]) return false;  // tRP / tRC / tRFC
-  if (last_act_ != kNoCycle && now < last_act_ + timing_.trrd) return false;
-  const Cycle fourth_newest = act_window_[act_window_pos_];
-  if (fourth_newest != kNoCycle && now < fourth_newest + timing_.tfaw) {
-    return false;
-  }
-  return true;
-}
-
-bool Channel::cas_legal(const DramCommand& cmd, Cycle now) const {
-  const RowId row = bank_row_[cmd.bank];
-  if (row == kNoRow || row != cmd.row) return false;  // row must be open
-  if (now < bank_earliest_cas_[cmd.bank]) return false;  // tRCD
-  const auto group = static_cast<BankGroupId>(cmd.bank / timing_.banks_per_group);
-  if (cmd.cmd == DramCmd::kRead) {
-    if (last_rd_cmd_ != kNoCycle) {
-      const Cycle ccd = (group == last_rd_group_) ? timing_.tccdl : timing_.tccds;
-      if (now < last_rd_cmd_ + ccd) return false;
-    }
-    if (last_wr_cmd_ != kNoCycle &&
-        now < last_wr_cmd_ + timing_.write_to_read()) {
-      return false;
-    }
-  } else {
-    if (last_wr_cmd_ != kNoCycle) {
-      const Cycle ccd = (group == last_wr_group_) ? timing_.tccdl : timing_.tccds;
-      if (now < last_wr_cmd_ + ccd) return false;
-    }
-    if (last_rd_cmd_ != kNoCycle &&
-        now < last_rd_cmd_ + timing_.read_to_write()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Channel::can_issue(const DramCommand& cmd, Cycle now) const {
+Cycle Channel::earliest_issue(const DramCommand& cmd) const {
   LATDIV_ASSERT(cmd.bank < bank_row_.size() || cmd.cmd == DramCmd::kRefresh,
                 "bank index out of range");
   switch (cmd.cmd) {
-    case DramCmd::kActivate:
-      return act_legal(cmd.bank, now);
+    case DramCmd::kActivate: {
+      if (bank_row_[cmd.bank] != kNoRow) return kNoCycle;  // must be precharged
+      Cycle at = bank_earliest_act_[cmd.bank];  // tRP / tRC / tRFC
+      if (last_act_ != kNoCycle) at = std::max(at, last_act_ + timing_.trrd);
+      const Cycle fourth_newest = act_window_[act_window_pos_];
+      if (fourth_newest != kNoCycle) {
+        at = std::max(at, fourth_newest + timing_.tfaw);
+      }
+      return at;
+    }
     case DramCmd::kPrecharge:
-      return bank_row_[cmd.bank] != kNoRow &&
-             now >= bank_earliest_pre_[cmd.bank];
+      if (bank_row_[cmd.bank] == kNoRow) return kNoCycle;
+      return bank_earliest_pre_[cmd.bank];  // tRAS / tRTP / tWR
     case DramCmd::kRead:
-    case DramCmd::kWrite:
-      return cas_legal(cmd, now);
+    case DramCmd::kWrite: {
+      const RowId row = bank_row_[cmd.bank];
+      if (row == kNoRow || row != cmd.row) return kNoCycle;  // row must be open
+      Cycle at = bank_earliest_cas_[cmd.bank];  // tRCD
+      const auto group =
+          static_cast<BankGroupId>(cmd.bank / timing_.banks_per_group);
+      const bool read = cmd.cmd == DramCmd::kRead;
+      // Same-direction CAS spacing (tCCDL/tCCDS), then bus turnaround from
+      // the last opposite-direction CAS.
+      const Cycle same = read ? last_rd_cmd_ : last_wr_cmd_;
+      const BankGroupId same_group = read ? last_rd_group_ : last_wr_group_;
+      if (same != kNoCycle) {
+        at = std::max(at, same + (group == same_group ? timing_.tccdl
+                                                      : timing_.tccds));
+      }
+      const Cycle other = read ? last_wr_cmd_ : last_rd_cmd_;
+      if (other != kNoCycle) {
+        at = std::max(at, other + (read ? timing_.write_to_read()
+                                        : timing_.read_to_write()));
+      }
+      return at;
+    }
     case DramCmd::kRefresh:
-      if (!all_banks_closed()) return false;
+      if (!all_banks_closed()) return kNoCycle;
       // Every bank's precharge must have completed (earliest_act embeds
       // tRP after a PRE).
-      return std::all_of(bank_earliest_act_.begin(), bank_earliest_act_.end(),
-                         [now](Cycle at) { return now >= at; });
+      return *std::max_element(bank_earliest_act_.begin(),
+                               bank_earliest_act_.end());
   }
   LATDIV_UNREACHABLE("bad DramCmd");
 }
@@ -97,6 +83,7 @@ Cycle Channel::issue(const DramCommand& cmd, Cycle now) {
   LATDIV_ASSERT(last_cmd_cycle_ == kNoCycle || now > last_cmd_cycle_,
                 "two commands in one cycle on a single command bus");
   last_cmd_cycle_ = now;
+  ++version_;
 
   switch (cmd.cmd) {
     case DramCmd::kActivate: {

@@ -2,9 +2,9 @@
 // command/data interface (two x32 chips operated in tandem as one rank).
 //
 // The channel is a pure timing legality-checker and state machine: the
-// memory controller decides *what* to issue; the channel answers *whether*
-// a command is legal this cycle and applies its effects.  Every constraint
-// from the paper's Table II is enforced:
+// memory controller decides *what* to issue; the channel answers *when* a
+// command becomes legal and applies its effects.  Every constraint from
+// the paper's Table II is enforced:
 //
 //   per-bank:   tRC, tRCD, tRP, tRAS, tRTP, tWR
 //   inter-bank: tRRD, tFAW (sliding 4-activate window)
@@ -47,8 +47,17 @@ class Channel {
  public:
   explicit Channel(const DramTiming& timing);
 
+  /// First cycle at which `cmd` is legal if no other command issues
+  /// first; kNoCycle when the bank state forbids it outright (ACT on an
+  /// open bank, PRE on a closed one, CAS to a row that is not open,
+  /// REF with a bank open).  Every timing term is a "now >= X" bound, so
+  /// legality is monotone in `now` until the next issue()/warm_row().
+  [[nodiscard]] Cycle earliest_issue(const DramCommand& cmd) const;
+
   /// Is `cmd` legal at cycle `now`?  Never mutates state.
-  [[nodiscard]] bool can_issue(const DramCommand& cmd, Cycle now) const;
+  [[nodiscard]] bool can_issue(const DramCommand& cmd, Cycle now) const {
+    return now >= earliest_issue(cmd);
+  }
 
   /// Apply `cmd` at cycle `now` (caller must have checked can_issue).
   /// Returns the cycle the command's data transfer completes: for RD the
@@ -69,14 +78,11 @@ class Channel {
   /// Row currently open in `bank` (kNoRow if precharged).
   [[nodiscard]] RowId open_row(BankId bank) const;
 
-  /// Would a column access to (bank,row) be a row hit right now?
-  [[nodiscard]] bool is_open(BankId bank, RowId row) const {
-    return open_row(bank) == row;
-  }
-
   /// True once the refresh interval has elapsed; the command scheduler
   /// must drain/precharge and issue kRefresh.
-  [[nodiscard]] bool refresh_due(Cycle now) const;
+  [[nodiscard]] bool refresh_due(Cycle now) const {
+    return timing_.refresh_enabled && now >= next_refresh_at_;
+  }
 
   /// True if every bank is precharged (prerequisite for kRefresh).
   [[nodiscard]] bool all_banks_closed() const;
@@ -92,7 +98,15 @@ class Channel {
   /// (ckpt::SampledRunner): open `row` in `bank` without issuing commands
   /// or consuming bus time.  Sampled mode runs with the protocol checker
   /// off; this is never called on a detailed-timing path.
-  void warm_row(BankId bank, RowId row) { bank_row_[bank] = row; }
+  void warm_row(BankId bank, RowId row) {
+    bank_row_[bank] = row;
+    ++version_;
+  }
+
+  /// Bumped by every issue() and warm_row(): while it is unchanged, every
+  /// earliest_issue() answer is unchanged.  Not part of snapshots; caches
+  /// keyed on it must be dropped on load.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// Re-anchor the refresh cadence after a sampled-mode jump to `now`:
   /// keeps tREFI-multiple spacing while skipping the due times inside the
@@ -109,9 +123,6 @@ class Channel {
   void ckpt_io(Ar& ar);
 
  private:
-  [[nodiscard]] bool act_legal(BankId bank, Cycle now) const;
-  [[nodiscard]] bool cas_legal(const DramCommand& cmd, Cycle now) const;
-
   DramTiming timing_;
   // Per-bank row-buffer state, SoA: the hottest probes scan exactly one
   // attribute across all banks (all_banks_closed over rows, refresh
@@ -137,6 +148,7 @@ class Channel {
   Cycle last_cmd_cycle_ = kNoCycle;  // single-command-bus assertion
   Cycle data_bus_free_at_ = 0;
   Cycle next_refresh_at_ = 0;
+  std::uint64_t version_ = 0;
 
   // Registered at construction by the simulator; invoked synchronously on
   // each issued command.

@@ -26,6 +26,11 @@ enum class DramCmd : std::uint8_t {
   return "?";
 }
 
+/// Column access (RD or WR)?
+[[nodiscard]] constexpr bool is_cas(DramCmd cmd) noexcept {
+  return cmd == DramCmd::kRead || cmd == DramCmd::kWrite;
+}
+
 /// One command as issued by the command scheduler.
 struct DramCommand {
   DramCmd cmd = DramCmd::kActivate;

@@ -61,6 +61,7 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
       fit_epoch_(timing.banks, 0),
       rr_bank_in_group_(timing.banks / timing.banks_per_group, 0) {
   LATDIV_ASSERT(policy_ != nullptr, "controller needs a policy");
+  LATDIV_ASSERT(timing.banks <= kMaxBanks, "more banks than kMaxBanks");
   LATDIV_ASSERT(cfg.wq_low_watermark < cfg.wq_high_watermark &&
                     cfg.wq_high_watermark <= cfg.write_queue_size,
                 "bad write watermarks");
@@ -109,9 +110,14 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
     bank_tail_row_[bank] = req.loc.row;
     bank_tail_streak_[bank] = 1;
   }
-  if (bank_q_[bank].empty()) ++nonempty_banks_;
+  const bool new_head = bank_q_[bank].empty();
+  if (new_head) ++nonempty_banks_;
   bank_q_[bank].push_back(req);
   ++cmdq_total_;
+  if (new_head && ready_version_ == channel_.version()) {
+    refresh_head(bank);  // fold the one new head into the memo
+    min_ready_ = std::min(min_ready_, head_ready_[bank]);
+  }
   ++mutation_epoch_;
   ++bank_epoch_[bank];
   ++selection_epoch_;
@@ -187,6 +193,49 @@ void MemoryController::complete_reads(Cycle now) {
   }
 }
 
+DramCommand MemoryController::head_command(BankId bank) const {
+  const MemRequest& head = bank_q_[bank].front();
+  const RowId open = channel_.open_row(bank);
+  if (open == head.loc.row) {
+    return {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
+            bank, head.loc.row};
+  }
+  if (open != kNoRow) return {DramCmd::kPrecharge, bank, kNoRow};
+  return {DramCmd::kActivate, bank, head.loc.row};
+}
+
+void MemoryController::rebuild_ready() {
+  const auto banks = static_cast<BankId>(channel_.timing().banks);
+  min_ready_ = kNoCycle;
+  for (BankId b = 0; b < banks; ++b) {
+    refresh_head(b);
+    min_ready_ = std::min(min_ready_, head_ready_[b]);
+  }
+  ready_version_ = channel_.version();
+}
+
+template <class Legal>
+std::uint32_t MemoryController::first_in_rr_order(Legal legal) const {
+  const DramTiming& t = channel_.timing();
+  const std::uint32_t groups = t.banks / t.banks_per_group;
+  for (std::uint32_t g_off = 0; g_off < groups; ++g_off) {
+    const std::uint32_t g = (rr_group_ + g_off) % groups;
+    for (std::uint32_t b_off = 0; b_off < t.banks_per_group; ++b_off) {
+      const std::uint32_t in_group =
+          (rr_bank_in_group_[g] + b_off) % t.banks_per_group;
+      const std::uint32_t bank = g * t.banks_per_group + in_group;
+      if (legal(static_cast<BankId>(bank))) return bank;
+    }
+  }
+  return t.banks;
+}
+
+std::uint32_t MemoryController::scan_pick(Cycle now) const {
+  return first_in_rr_order([&](BankId b) {
+    return !bank_q_[b].empty() && channel_.can_issue(head_command(b), now);
+  });
+}
+
 void MemoryController::issue_one_command(Cycle now) {
   // Refresh has absolute priority once due: close banks, then REF.
   if (channel_.refresh_due(now)) {
@@ -214,86 +263,101 @@ void MemoryController::issue_one_command(Cycle now) {
 
   if (cmdq_total_ == 0) return;  // every bank queue is empty
 
-  const DramTiming& t = channel_.timing();
-  const std::uint32_t groups = t.banks / t.banks_per_group;
-  for (std::uint32_t g_off = 0; g_off < groups; ++g_off) {
-    const std::uint32_t g = (rr_group_ + g_off) % groups;
-    for (std::uint32_t b_off = 0; b_off < t.banks_per_group; ++b_off) {
-      const std::uint32_t in_group =
-          (rr_bank_in_group_[g] + b_off) % t.banks_per_group;
-      const auto bank = static_cast<BankId>(g * t.banks_per_group + in_group);
-      if (bank_q_[bank].empty()) continue;
-      MemRequest& head = bank_q_[bank].front();
+  // Each head's legality changes only when the channel's state or the
+  // head itself changes, and is monotone in `now` in between: until the
+  // earliest head's cycle, nothing can issue.
+  if (ready_version_ != channel_.version()) rebuild_ready();
+  if (now < min_ready_) {
+    LATDIV_DCHECK(scan_pick(now) == channel_.timing().banks,
+                  "command memo skipped a cycle with a legal head");
+    return;
+  }
+  const std::uint32_t picked =
+      first_in_rr_order([&](BankId b) { return head_ready_[b] <= now; });
+  LATDIV_DCHECK(picked == scan_pick(now),
+                "command memo served a bank other than the full scan's");
+  LATDIV_ASSERT(picked < channel_.timing().banks,
+                "a head at the memo minimum must be legal");
+  const auto bank = static_cast<BankId>(picked);
+  MemRequest& head = bank_q_[bank].front();
+  const DramCommand cmd = head_cmd_[bank];
 
-      DramCommand cmd;
-      const RowId open = channel_.open_row(bank);
-      if (open == head.loc.row) {
-        cmd = {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
-               bank, head.loc.row};
-      } else if (open != kNoRow) {
-        cmd = {DramCmd::kPrecharge, bank, kNoRow};
-      } else {
-        cmd = {DramCmd::kActivate, bank, head.loc.row};
-      }
-      if (!channel_.can_issue(cmd, now)) continue;
-
-      const Cycle done = channel_.issue(cmd, now);
-      ++mutation_epoch_;
-      ++bank_epoch_[bank];
-      if (cmd.cmd == DramCmd::kActivate || cmd.cmd == DramCmd::kPrecharge) {
-        note_row_change(bank);
-      }
-      // The first command issued on behalf of a still-unclassified head
-      // fixes its row-buffer outcome: straight CAS = the row was already
-      // open (hit), ACT from precharged = miss, PRE of another row =
-      // conflict.  Later commands for the same head (the ACT after a
-      // conflict's PRE, the CAS after either) leave it untouched.
-      if (head.row_outcome == RowOutcome::kNone) {
-        switch (cmd.cmd) {
-          case DramCmd::kRead:
-          case DramCmd::kWrite:
-            head.row_outcome = RowOutcome::kHit;
-            ++stats_.bank_row_hits[bank];
-            break;
-          case DramCmd::kActivate:
-            head.row_outcome = RowOutcome::kMiss;
-            ++stats_.bank_row_misses[bank];
-            break;
-          case DramCmd::kPrecharge:
-            head.row_outcome = RowOutcome::kConflict;
-            ++stats_.bank_row_conflicts[bank];
-            break;
-          case DramCmd::kRefresh:
-            break;  // never reaches here (refresh handled above)
-        }
-      }
-      if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
-        MemRequest req = bank_q_[bank].front();
-        bank_q_[bank].pop_front();
-        ++selection_epoch_;
-        ++fit_epoch_[bank];
-        if (bank_q_[bank].empty()) --nonempty_banks_;
-        LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
-                      "CAS issued for a request other than the bank head");
-        --cmdq_total_;
-        req.cas_issued = now;
-        if (obs_ != nullptr) obs_->req_cas(req, now);
-        if (cmd.cmd == DramCmd::kRead) {
-          stats_.read_queueing_cycles.add(
-              static_cast<double>(now - req.arrived_at_mc));
-          inflight_reads_.push(Inflight{done, req});
-        } else {
-          ++stats_.writes_served;
-          if (obs_ != nullptr) obs_->req_write_retired(req, done);
-        }
-        // Advance the round-robin pointers past the bank that got data
-        // service, so other bank groups / banks get the next slot.
-        rr_bank_in_group_[g] = (in_group + 1) % t.banks_per_group;
-        rr_group_ = (g + 1) % groups;
-      }
-      return;  // one command per cycle on the command bus
+  const Cycle done = channel_.issue(cmd, now);
+  ++mutation_epoch_;
+  ++bank_epoch_[bank];
+  if (cmd.cmd == DramCmd::kActivate || cmd.cmd == DramCmd::kPrecharge) {
+    note_row_change(bank);
+  }
+  // The first command issued on behalf of a still-unclassified head
+  // fixes its row-buffer outcome: straight CAS = the row was already
+  // open (hit), ACT from precharged = miss, PRE of another row =
+  // conflict.  Later commands for the same head (the ACT after a
+  // conflict's PRE, the CAS after either) leave it untouched.
+  if (head.row_outcome == RowOutcome::kNone) {
+    switch (cmd.cmd) {
+      case DramCmd::kRead:
+      case DramCmd::kWrite:
+        head.row_outcome = RowOutcome::kHit;
+        ++stats_.bank_row_hits[bank];
+        break;
+      case DramCmd::kActivate:
+        head.row_outcome = RowOutcome::kMiss;
+        ++stats_.bank_row_misses[bank];
+        break;
+      case DramCmd::kPrecharge:
+        head.row_outcome = RowOutcome::kConflict;
+        ++stats_.bank_row_conflicts[bank];
+        break;
+      case DramCmd::kRefresh:
+        break;  // never reaches here (refresh handled above)
     }
   }
+  const bool cas = is_cas(cmd.cmd);
+  if (cas) {
+    MemRequest req = bank_q_[bank].front();
+    bank_q_[bank].pop_front();
+    ++selection_epoch_;
+    ++fit_epoch_[bank];
+    if (bank_q_[bank].empty()) --nonempty_banks_;
+    LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
+                  "CAS issued for a request other than the bank head");
+    --cmdq_total_;
+    req.cas_issued = now;
+    if (obs_ != nullptr) obs_->req_cas(req, now);
+    if (cmd.cmd == DramCmd::kRead) {
+      stats_.read_queueing_cycles.add(
+          static_cast<double>(now - req.arrived_at_mc));
+      inflight_reads_.push(Inflight{done, req});
+    } else {
+      ++stats_.writes_served;
+      if (obs_ != nullptr) obs_->req_write_retired(req, done);
+    }
+    // Advance the round-robin pointers past the bank that got data
+    // service, so other bank groups / banks get the next slot.
+    const DramTiming& t = channel_.timing();
+    const std::uint32_t g = bank / t.banks_per_group;
+    rr_bank_in_group_[g] = (bank % t.banks_per_group + 1) % t.banks_per_group;
+    rr_group_ = (g + 1) % (t.banks / t.banks_per_group);
+  }
+
+  // Update the memo for what this command can have changed: the issuing
+  // bank (its timing, open row and perhaps its head), every ACT head
+  // after an ACT (tRRD/tFAW), every CAS head after a CAS (tCCD and bus
+  // turnaround).  A PRE touches only its own bank.
+  const auto banks = static_cast<BankId>(channel_.timing().banks);
+  min_ready_ = kNoCycle;
+  for (BankId b = 0; b < banks; ++b) {
+    if (b == bank) {
+      refresh_head(b);
+    } else if (head_ready_[b] != kNoCycle &&
+               (cas ? is_cas(head_cmd_[b].cmd)
+                    : cmd.cmd == DramCmd::kActivate &&
+                          head_cmd_[b].cmd == DramCmd::kActivate)) {
+      head_ready_[b] = channel_.earliest_issue(head_cmd_[b]);
+    }
+    min_ready_ = std::min(min_ready_, head_ready_[b]);
+  }
+  ready_version_ = channel_.version();
 }
 
 void MemoryController::tick(Cycle now) {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -82,6 +83,10 @@ struct McStats {
 
 class MemoryController {
  public:
+  /// Upper bound on banks per channel: the command scheduler's per-bank
+  /// memo and the policies' per-bank candidate tables are fixed arrays.
+  static constexpr std::size_t kMaxBanks = 32;
+
   /// `on_read_done(req, now)` fires the cycle read data is fully returned.
   using ResponseFn = std::function<void(const MemRequest&, Cycle)>;
 
@@ -192,6 +197,19 @@ class MemoryController {
     return fit_epoch_[bank];
   }
 
+  // --- command-scheduler memo (test probes) ---
+  /// True while the cached head readiness is current and every head's
+  /// first legal cycle is after `now`: a non-refresh cycle at `now`
+  /// issues nothing.
+  [[nodiscard]] bool issue_memo_armed(Cycle now) const {
+    return ready_version_ == channel_.version() && cmdq_total_ > 0 &&
+           now < min_ready_;
+  }
+  /// Drop the cached head readiness: the next cycle re-derives every
+  /// bank's head command from scratch (memo equivalence tests call this
+  /// before every step).
+  void forget_issue_memo() { ready_version_ = kStaleVersion; }
+
   // Fig. 12 accounting: policies report the warp-groups stalled when a
   // drain begins.
   void record_drain_stall(std::size_t groups, std::size_t small_groups);
@@ -225,6 +243,28 @@ class MemoryController {
     }
   }
   void issue_one_command(Cycle now);
+  /// The command `bank`'s (non-empty) queue head needs next: CAS on a row
+  /// hit, PRE on a conflict, ACT on a precharged bank.
+  [[nodiscard]] DramCommand head_command(BankId bank) const;
+  /// Re-derive `bank`'s head command and readiness (kNoCycle if empty).
+  void refresh_head(BankId bank) {
+    if (bank_q_[bank].empty()) {
+      head_ready_[bank] = kNoCycle;
+      return;
+    }
+    head_cmd_[bank] = head_command(bank);
+    head_ready_[bank] = channel_.earliest_issue(head_cmd_[bank]);
+  }
+  /// Re-derive every bank's head readiness and the channel-wide minimum.
+  void rebuild_ready();
+  /// The first bank in multi-level round-robin order (bank groups, then
+  /// banks within the group) for which `legal(bank)` holds; `banks` if
+  /// none.
+  template <class Legal>
+  [[nodiscard]] std::uint32_t first_in_rr_order(Legal legal) const;
+  /// The bank the full legality scan would serve at `now` (`banks` if
+  /// none): the reference the memo is checked against under DCHECKs.
+  [[nodiscard]] std::uint32_t scan_pick(Cycle now) const;
   void complete_reads(Cycle now);
   [[nodiscard]] bool all_bank_queues_empty() const { return cmdq_total_ == 0; }
   /// Writes the current drain episode pulled out of the write queue so
@@ -270,6 +310,18 @@ class MemoryController {
   // Multi-level round-robin pointers for the command scheduler.
   std::uint32_t rr_group_ = 0;
   std::vector<std::uint32_t> rr_bank_in_group_;
+
+  // Command-scheduler memo: each non-empty bank's head command and the
+  // first cycle it is legal (kNoCycle for an empty bank), their minimum,
+  // and the channel version they were derived at.  Bank-head issues
+  // update only the banks the command can affect; any other version
+  // change (refresh commands, warm_row) rebuilds every bank.  Not part of
+  // snapshots: a load marks it stale.
+  static constexpr std::uint64_t kStaleVersion = ~std::uint64_t{0};
+  std::array<DramCommand, kMaxBanks> head_cmd_{};
+  std::array<Cycle, kMaxBanks> head_ready_{};
+  Cycle min_ready_ = kNoCycle;
+  std::uint64_t ready_version_ = kStaleVersion;
 
   std::priority_queue<Inflight> inflight_reads_;
   std::vector<CoordMsg> outbox_;

@@ -48,11 +48,55 @@ class GmcPolicy : public TransactionScheduler {
   void schedule_reads(MemoryController& mc, Cycle now) override {
     auto& rq = mc.read_queue();
     if (rq.empty()) return;
+    // A pass that picked nothing stays empty until a selection-epoch event
+    // (push, send_to_bank, CAS pop, ACT/PRE on a bank with no tail row) or
+    // until a request still under the age threshold crosses it.
+    const std::uint64_t epoch = mc.selection_epoch();
+    if (skip_epoch_ == epoch && now < skip_until_) {
+      LATDIV_DCHECK(evaluate(mc, now).n_picks == 0,
+                    "GMC skip memo hid a schedulable request");
+      return;
+    }
+    const Pass pass = evaluate(mc, now);
+    if (pass.n_picks == 0) {
+      skip_epoch_ = epoch;
+      skip_until_ = pass.retry_at;
+      return;
+    }
+    // Erase from the back so the recorded positions stay valid.
+    for (std::size_t i = pass.n_picks; i-- > 0;) {
+      auto it = rq.begin() + static_cast<std::ptrdiff_t>(pass.picks[i]);
+      MemRequest req = *it;
+      rq.erase(it);
+      mc.send_to_bank(req, now);
+    }
+  }
 
+  /// True while a pass that picked nothing is memoized for `now`.
+  [[nodiscard]] bool skip_memo_armed(const MemoryController& mc,
+                                     Cycle now) const {
+    return skip_epoch_ == mc.selection_epoch() && now < skip_until_;
+  }
+  /// Drop the skip memo: the next pass evaluates the read queue (memo
+  /// equivalence tests call this before every step).
+  void forget_skip_memo() { skip_epoch_ = kNoEpoch; }
+
+ private:
+  static constexpr std::size_t kMaxBanks = MemoryController::kMaxBanks;
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
+  /// One pass's outcome: the read-queue positions to move, ascending, and
+  /// for an empty pass the first cycle at which age alone can change it.
+  struct Pass {
+    std::array<std::size_t, kMaxBanks> picks;
+    std::size_t n_picks = 0;
+    Cycle retry_at = kNoCycle;
+  };
+
+  [[nodiscard]] Pass evaluate(const MemoryController& mc, Cycle now) const {
+    const auto& rq = mc.read_queue();
     // One pass: per bank, remember the queue position of the best
-    // candidate in each priority class (positions are stable until we
-    // erase, which happens afterwards in descending order).
-    constexpr std::size_t kMaxBanks = 32;
+    // candidate in each priority class.
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     struct Cand {
       std::size_t aged, hit, breaker, oldest;
@@ -60,57 +104,66 @@ class GmcPolicy : public TransactionScheduler {
     std::array<Cand, kMaxBanks> cands;
     cands.fill(Cand{kNone, kNone, kNone, kNone});
     const auto banks = static_cast<std::size_t>(mc.channel().timing().banks);
-    LATDIV_ASSERT(banks <= kMaxBanks, "bank count above candidate table");
+    // Per-bank inputs, read once per pass: whether the bank takes another
+    // transaction at all, whether it takes a row-closing one (only once it
+    // has fully drained: a hit for the still-open row may be one arrival
+    // away, and closing early forfeits it — the row sorter's stream
+    // hysteresis), whether its planned stream is below the streak cap,
+    // and the row a hit must match.
+    struct BankView {
+      bool open_slot, miss_ok, under_cap;
+      RowId predicted;
+    };
+    std::array<BankView, kMaxBanks> view;
+    for (std::size_t b = 0; b < banks; ++b) {
+      const auto bank = static_cast<BankId>(b);
+      const std::size_t depth = mc.bank_queue_size(bank);
+      view[b] = {depth < cfg_.bank_lookahead, depth == 0,
+                 mc.tail_streak(bank) < cfg_.max_hit_streak,
+                 mc.predicted_row(bank)};
+    }
+    Pass pass;
 
     std::size_t pos = 0;
     for (auto it = rq.begin(); it != rq.end(); ++it, ++pos) {
-      const BankId bank = it->loc.bank;
-      const std::size_t depth = mc.bank_queue_size(bank);
-      if (depth >= cfg_.bank_lookahead) continue;
-      Cand& c = cands[bank];
-      const bool extends = mc.predicted_row(bank) == it->loc.row;
-      // Row-closing candidates only go in once the bank has fully drained:
-      // a hit for the still-open row may be one arrival away, and closing
-      // early forfeits it (the row sorter's stream hysteresis).
-      const bool miss_ok = depth == 0;
-      const bool under_cap = mc.tail_streak(bank) < cfg_.max_hit_streak;
-      if (c.oldest == kNone && ((extends && under_cap) || miss_ok)) {
+      const bool aged = now - it->arrived_at_mc > cfg_.age_threshold;
+      if (!aged) {
+        pass.retry_at = std::min(pass.retry_at,
+                                 it->arrived_at_mc + cfg_.age_threshold + 1);
+      }
+      const BankView& v = view[it->loc.bank];
+      if (!v.open_slot) continue;
+      Cand& c = cands[it->loc.bank];
+      const bool extends = v.predicted == it->loc.row;
+      if (c.oldest == kNone && ((extends && v.under_cap) || v.miss_ok)) {
         c.oldest = pos;
       }
       // The starvation valve overrides the hysteresis: an over-age
       // request is inserted as soon as the bank can take it at all.
-      if (c.aged == kNone && now - it->arrived_at_mc > cfg_.age_threshold) {
-        c.aged = pos;
-      }
-      if (c.hit == kNone && extends && under_cap) c.hit = pos;
-      if (c.breaker == kNone && !extends && miss_ok) c.breaker = pos;
+      if (c.aged == kNone && aged) c.aged = pos;
+      if (c.hit == kNone && extends && v.under_cap) c.hit = pos;
+      if (c.breaker == kNone && !extends && v.miss_ok) c.breaker = pos;
     }
 
     // Per bank: starvation valve, then row-hit streaming below the streak
     // cap, then (streak capped) the oldest stream-breaking request, then
-    // arrival order.  Collect the picks and erase from the back so the
-    // recorded positions stay valid.
-    std::array<std::size_t, kMaxBanks> picks;
-    std::size_t n_picks = 0;
+    // arrival order.
     for (std::size_t b = 0; b < banks; ++b) {
       const Cand& c = cands[b];
       std::size_t pick = c.aged;
       if (pick == kNone) pick = c.hit;
       if (pick == kNone) pick = c.breaker;
       if (pick == kNone) pick = c.oldest;
-      if (pick != kNone) picks[n_picks++] = pick;
+      if (pick != kNone) pass.picks[pass.n_picks++] = pick;
     }
-    std::sort(picks.begin(), picks.begin() + n_picks);
-    for (std::size_t i = n_picks; i-- > 0;) {
-      auto it = rq.begin() + static_cast<std::ptrdiff_t>(picks[i]);
-      MemRequest req = *it;
-      rq.erase(it);
-      mc.send_to_bank(req, now);
-    }
+    std::sort(pass.picks.begin(), pass.picks.begin() + pass.n_picks);
+    return pass;
   }
 
- private:
   GmcConfig cfg_;
+  // Skip memo (not serialized; a snapshot load bumps the epoch).
+  std::uint64_t skip_epoch_ = kNoEpoch;
+  Cycle skip_until_ = 0;
 };
 
 }  // namespace latdiv

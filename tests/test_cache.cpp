@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 
 namespace latdiv {
@@ -134,6 +136,47 @@ TEST(Cache, StressManyFillsStayConsistent) {
   }
   // Capacity invariant: hits+misses == touches.
   EXPECT_EQ(c.stats().hits + c.stats().misses, 50000u);
+}
+
+TEST(Cache, WritebackAddressIsTheFilledLineAcrossGeometries) {
+  // Indexing is shift-and-mask over power-of-two line sizes and set
+  // counts: every dirty victim's writeback address must be exactly the
+  // line base that was filled, whatever the geometry.
+  struct Geometry {
+    std::uint32_t line_bytes, sets, ways;
+  };
+  for (const Geometry g : {Geometry{32, 1, 4}, Geometry{64, 4, 2},
+                           Geometry{128, 64, 8}, Geometry{256, 512, 1},
+                           Geometry{128, 2048, 16}}) {
+    SCOPED_TRACE(testing::Message() << g.line_bytes << "B lines, " << g.sets
+                                    << " sets, " << g.ways << " ways");
+    Cache c(CacheConfig{g.line_bytes * g.sets * g.ways, g.line_bytes, g.ways});
+    ASSERT_EQ(c.sets(), g.sets);
+    Rng rng(g.line_bytes + g.sets);
+    std::set<Addr> resident;  // line bases filled and not yet evicted
+    std::uint64_t writebacks = 0;
+    for (int i = 0; i < 20000; ++i) {
+      // Any byte of any line in a 36-bit space: tags use the bits above
+      // 32 too, and far more lines than the cache holds keep evicting.
+      const Addr addr = (rng.below(16) << 32) | (rng.next() & 0xFFFFFF);
+      const Addr base = addr & ~Addr{g.line_bytes - 1};
+      const auto wb = c.fill(addr, /*dirty=*/true);
+      resident.insert(base);
+      if (!wb.has_value()) continue;
+      ++writebacks;
+      ASSERT_EQ(resident.erase(*wb), 1u) << "writeback of a line never filled";
+      EXPECT_EQ(*wb % g.line_bytes, 0u);
+      EXPECT_EQ((*wb / g.line_bytes) % g.sets, (base / g.line_bytes) % g.sets)
+          << "victim from another set";
+      EXPECT_FALSE(c.probe(*wb));
+      EXPECT_TRUE(c.probe(addr));
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_EQ(writebacks, c.stats().dirty_evictions);
+    // Every eviction was a writeback, so the model is the cache's content.
+    EXPECT_LE(resident.size(), std::size_t{g.sets} * g.ways);
+    for (const Addr line : resident) EXPECT_TRUE(c.probe(line));
+  }
 }
 
 TEST(CacheDeath, MarkDirtyAbsentAborts) {

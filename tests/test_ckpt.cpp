@@ -200,6 +200,50 @@ TEST(CkptResumeIdleMemo, ResumeInMshrStallSkip) {
   expect_same_result(straight.finish(), resumed.finish());
 }
 
+// GMC paused while a channel has both controller memos armed: the command
+// scheduler is skipping cycles before its earliest bank head, and the
+// row sorter is skipping passes that cannot pick.  Neither memo is in the
+// format; the load bumps the selection epoch and drops the readiness
+// cache, so the resumed run re-derives both.  The mid-run snapshot
+// re-saves to the same bytes, and the resumed end snapshot and results
+// equal the straight run's.
+TEST(CkptResumeMcMemo, ResumeWithIssueAndSkipMemosArmed) {
+  const SimConfig cfg = scenario_cfg(SchedulerKind::kGmc, "powerlaw-rows");
+  auto both_armed = [&cfg](Simulator& sim) {
+    for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+      const MemoryController& mc = sim.partition(p).mc();
+      const auto* gmc = dynamic_cast<const GmcPolicy*>(&mc.policy());
+      if (gmc != nullptr && gmc->skip_memo_armed(mc, sim.now()) &&
+          mc.issue_memo_armed(sim.now())) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  Simulator straight(cfg);
+  straight.run_to(cfg.max_cycles);
+  const std::vector<unsigned char> straight_end =
+      ckpt::save_snapshot(straight);
+
+  Simulator paused(cfg);
+  paused.run_to(cfg.max_cycles / 4);
+  while (!both_armed(paused) && paused.now() < cfg.max_cycles / 2) {
+    paused.step();
+  }
+  ASSERT_TRUE(both_armed(paused)) << "no channel with both memos armed";
+  const std::vector<unsigned char> snap = ckpt::save_snapshot(paused);
+
+  Simulator resumed(cfg);
+  ckpt::load_snapshot(resumed, snap.data(), snap.size());
+  EXPECT_FALSE(both_armed(resumed));
+  EXPECT_EQ(ckpt::save_snapshot(resumed), snap);
+
+  resumed.run_to(cfg.max_cycles);
+  EXPECT_EQ(ckpt::save_snapshot(resumed), straight_end);
+  expect_same_result(straight.finish(), resumed.finish());
+}
+
 // The statistical generator frontend (no custom source) round-trips its
 // per-warp RNG streams the same way the scenario kernels do.
 TEST(CkptResumeGenerator, GeneratorCursorsRoundTrip) {

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dram/params.hpp"
 #include "mc/policy_fcfs.hpp"
 
@@ -258,6 +262,180 @@ TEST(ControllerDeath, BadWatermarksAbort) {
                                 std::make_unique<FcfsPolicy>(), nullptr),
                "watermark");
 }
+
+// ---------------------------------------------------------------------------
+// Command-scheduler differential: the controller issues from cached head
+// readiness (Channel::earliest_issue) and skips cycles before the earliest
+// head.  RefCommandScheduler is the former per-cycle scan — refresh first,
+// then every bank head probed with can_issue in multi-level round-robin
+// order — kept as a test-only model on its own channel.  Both are fed the
+// same bank-queue pushes and functional row warms; every cycle must issue
+// the same command.
+
+/// A policy that moves nothing: the test feeds the bank queues itself.
+class NoTransactions final : public TransactionScheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "none"; }
+  void schedule_reads(MemoryController&, Cycle) override {}
+  void schedule_writes(MemoryController&, Cycle) override {}
+};
+
+class RefCommandScheduler {
+ public:
+  explicit RefCommandScheduler(const DramTiming& t)
+      : ch_(t), q_(t.banks), rr_bank_in_group_(t.banks / t.banks_per_group) {}
+
+  void push(const MemRequest& req) { q_[req.loc.bank].push_back(req); }
+  void warm_row(BankId bank, RowId row) { ch_.warm_row(bank, row); }
+
+  /// One cycle of the former issue_one_command; the command it issued.
+  std::optional<DramCommand> tick(Cycle now) {
+    const DramTiming& t = ch_.timing();
+    if (ch_.refresh_due(now)) {
+      if (ch_.all_banks_closed()) {
+        const DramCommand ref{DramCmd::kRefresh, 0, kNoRow};
+        if (!ch_.can_issue(ref, now)) return std::nullopt;
+        ch_.issue(ref, now);
+        return ref;
+      }
+      for (BankId b = 0; b < t.banks; ++b) {
+        const DramCommand pre{DramCmd::kPrecharge, b, kNoRow};
+        if (ch_.open_row(b) != kNoRow && ch_.can_issue(pre, now)) {
+          ch_.issue(pre, now);
+          return pre;
+        }
+      }
+      return std::nullopt;
+    }
+    const std::uint32_t groups = t.banks / t.banks_per_group;
+    for (std::uint32_t g_off = 0; g_off < groups; ++g_off) {
+      const std::uint32_t g = (rr_group_ + g_off) % groups;
+      for (std::uint32_t b_off = 0; b_off < t.banks_per_group; ++b_off) {
+        const std::uint32_t in_group =
+            (rr_bank_in_group_[g] + b_off) % t.banks_per_group;
+        const auto bank = static_cast<BankId>(g * t.banks_per_group + in_group);
+        if (q_[bank].empty()) continue;
+        const MemRequest& head = q_[bank].front();
+        DramCommand cmd;
+        const RowId open = ch_.open_row(bank);
+        if (open == head.loc.row) {
+          cmd = {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
+                 bank, head.loc.row};
+        } else if (open != kNoRow) {
+          cmd = {DramCmd::kPrecharge, bank, kNoRow};
+        } else {
+          cmd = {DramCmd::kActivate, bank, head.loc.row};
+        }
+        if (!ch_.can_issue(cmd, now)) continue;
+        ch_.issue(cmd, now);
+        if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
+          q_[bank].pop_front();
+          rr_bank_in_group_[g] = (in_group + 1) % t.banks_per_group;
+          rr_group_ = (g + 1) % groups;
+        }
+        return cmd;
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  Channel ch_;
+  std::vector<std::deque<MemRequest>> q_;
+  std::uint32_t rr_group_ = 0;
+  std::vector<std::uint32_t> rr_bank_in_group_;
+};
+
+struct IssueCase {
+  const char* name;
+  bool refresh;
+  bool ddr3;          ///< 8 banks in one group instead of GDDR5's 4x4
+  double write_frac;  ///< share of pushes that are writes
+  bool warm;          ///< functional row warms between cycles
+  std::uint64_t seed;
+};
+
+void PrintTo(const IssueCase& c, std::ostream* os) { *os << c.name; }
+
+class CommandIssueDifferential : public ::testing::TestWithParam<IssueCase> {};
+
+TEST_P(CommandIssueDifferential, MatchesReferenceScan) {
+  const IssueCase ic = GetParam();
+  DramParams p = ic.ddr3 ? ddr3_1600_params() : gddr5_params();
+  p.refresh_enabled = ic.refresh;
+  const DramTiming t = DramTiming::from(p);
+  MemoryController mc(0, McConfig{}, t, std::make_unique<NoTransactions>(),
+                      nullptr);
+  std::optional<DramCommand> issued;
+  mc.channel_mut().add_command_observer(
+      [&issued](const DramCommand& cmd, Cycle) { issued = cmd; });
+  RefCommandScheduler ref(t);
+  Rng rng(ic.seed);
+  std::uint64_t commands = 0, refreshes = 0, idle = 0, warms = 0;
+
+  for (Cycle now = 0; now < 40'000; ++now) {
+    // Bursty arrivals over a few rows per bank, so heads hit, miss and
+    // conflict, and queues both fill and drain.
+    const bool burst = (now / 1'500) % 3 != 2;
+    const std::uint64_t arrivals = rng.below(burst ? 3 : 1);
+    for (std::uint64_t i = 0; i < arrivals; ++i) {
+      const auto bank = static_cast<BankId>(rng.below(t.banks));
+      if (!mc.bank_queue_has_space(bank)) continue;
+      MemRequest req = rng.chance(ic.write_frac)
+                           ? write_to(bank, static_cast<RowId>(rng.below(4)))
+                           : read_to(bank, static_cast<RowId>(rng.below(4)));
+      req.loc.bank_group = static_cast<BankGroupId>(bank / t.banks_per_group);
+      req.arrived_at_mc = now;
+      mc.send_to_bank(req, now);
+      ref.push(req);
+    }
+    // A sampled skip's functional warming reopens rows under queued heads.
+    if (ic.warm && rng.chance(0.02)) {
+      const auto bank = static_cast<BankId>(rng.below(t.banks));
+      const auto row = static_cast<RowId>(rng.below(4));
+      mc.channel_mut().warm_row(bank, row);
+      ref.warm_row(bank, row);
+      ++warms;
+    }
+    // The from-scratch rebuild path must agree with the incremental one.
+    if (rng.chance(0.01)) mc.forget_issue_memo();
+
+    // The memo covers the bank heads; a due refresh goes first regardless.
+    const bool armed =
+        mc.issue_memo_armed(now) && !mc.channel().refresh_due(now);
+    issued.reset();
+    mc.tick(now);
+    const std::optional<DramCommand> want = ref.tick(now);
+    ASSERT_EQ(issued.has_value(), want.has_value()) << "cycle " << now;
+    if (!want) {
+      ++idle;
+      continue;
+    }
+    ASSERT_FALSE(armed) << "memo armed on a cycle that issued, at " << now;
+    ASSERT_EQ(issued->cmd, want->cmd) << "cycle " << now;
+    ASSERT_EQ(issued->bank, want->bank) << "cycle " << now;
+    ASSERT_EQ(issued->row, want->row) << "cycle " << now;
+    ++commands;
+    if (want->cmd == DramCmd::kRefresh) ++refreshes;
+  }
+  EXPECT_GT(commands, 10'000u);
+  EXPECT_GT(idle, 1'000u);
+  EXPECT_EQ(refreshes > 0, ic.refresh);
+  EXPECT_EQ(warms > 0, ic.warm);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, CommandIssueDifferential,
+    ::testing::Values(IssueCase{"reads_refresh", true, false, 0.0, false, 1},
+                      IssueCase{"mixed_refresh", true, false, 0.3, false, 2},
+                      IssueCase{"mixed_norefresh", false, false, 0.3, false, 3},
+                      IssueCase{"writes_norefresh", false, false, 0.9, false, 4},
+                      IssueCase{"mixed_refresh_warm", true, false, 0.3, true, 5},
+                      IssueCase{"reads_norefresh_warm", false, false, 0.0, true,
+                                6},
+                      IssueCase{"ddr3_mixed_refresh_warm", true, true, 0.3, true,
+                                7}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace latdiv

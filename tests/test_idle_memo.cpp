@@ -3,7 +3,9 @@
 // the warp scan until then, replaying the idle and MSHR-stall counts each
 // skipped tick would make.  The memo must never skip a tick that could
 // act, so a run with it must be bit-identical to a run that forgets it
-// before every step (DESIGN.md, "Per-component memos").
+// before every step (DESIGN.md, "Per-component memos").  The memory
+// controller's memos (command readiness, policy skips) are held to the
+// same rule at the end of this file.
 //
 // The comparison goes through exp::metrics_from, the same flattening the
 // sweep artifacts use, so every reported metric is covered, and then
@@ -15,7 +17,10 @@
 #include <vector>
 
 #include "ckpt/sampler.hpp"
+#include "core/policy_wg.hpp"
 #include "exp/executor.hpp"
+#include "mc/policy_frfcfs.hpp"
+#include "mc/policy_gmc.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -221,6 +226,132 @@ TEST(FastForward, CustomPolicyDefaultQuiescentIsSafe) {
   expect_equivalent(cfg);
   EXPECT_EQ(exp::metrics_from(builtin),
             exp::metrics_from(Simulator(cfg).run()));
+}
+
+// ---------------------------------------------------------------------------
+// Memory-controller memos: the command scheduler's cached head readiness
+// (MemoryController::issue_memo_armed) and the transaction scheduler's
+// skip of passes that cannot pick (GMC's epoch + age horizon, FR-FCFS's
+// epoch, WG's select memo).  A run that forgets both before every step
+// must report exactly what the memoized run reports.
+
+struct McMemoCounts {
+  std::uint64_t issue_skips = 0;   ///< channel-steps with the command memo armed
+  std::uint64_t policy_skips = 0;  ///< channel-steps with a policy skip armed
+};
+
+/// Drop (or count) every channel's command memo and policy skip memo.
+void visit_mc_memos(Simulator& sim, bool forget, McMemoCounts& counts) {
+  for (std::size_t p = 0; p < sim.config().icnt.partitions; ++p) {
+    MemoryController& mc = sim.partition(p).mc();
+    auto* gmc = dynamic_cast<GmcPolicy*>(&mc.policy());
+    auto* frfcfs = dynamic_cast<FrFcfsPolicy*>(&mc.policy());
+    auto* wg = dynamic_cast<WgPolicy*>(&mc.policy());
+    if (forget) {
+      mc.forget_issue_memo();
+      if (gmc != nullptr) gmc->forget_skip_memo();
+      if (frfcfs != nullptr) frfcfs->forget_skip_memo();
+      if (wg != nullptr) wg->forget_select_memo();
+      continue;
+    }
+    if (mc.issue_memo_armed(sim.now())) ++counts.issue_skips;
+    if ((gmc != nullptr && gmc->skip_memo_armed(mc, sim.now())) ||
+        (frfcfs != nullptr && frfcfs->skip_memo_armed(mc)) ||
+        (wg != nullptr && wg->select_memo_armed(mc))) {
+      ++counts.policy_skips;
+    }
+  }
+}
+
+McMemoCounts advance_mc(Simulator& sim, Cycle end, bool forget) {
+  McMemoCounts counts;
+  while (sim.now() < end) {
+    visit_mc_memos(sim, forget, counts);
+    sim.step();
+  }
+  return counts;
+}
+
+/// Run `cfg` forgetting the controller memos before every step, then
+/// with them; every metric must match and both memos must have fired.
+void expect_mc_memo_equivalent(const SimConfig& cfg) {
+  Simulator off(cfg);
+  advance_mc(off, cfg.max_cycles, /*forget=*/true);
+  Simulator on(cfg);
+  const McMemoCounts counts = advance_mc(on, cfg.max_cycles, /*forget=*/false);
+  expect_same(off.finish(), on.finish());
+  EXPECT_GT(counts.issue_skips, 0u) << "the command memo never armed";
+  EXPECT_GT(counts.policy_skips, 0u) << "no policy skip memo armed";
+}
+
+SimConfig gmc_aged_cfg(SimConfig cfg) {
+  // A short age threshold makes the starvation valve, and with it the
+  // skip memo's time horizon, decide often.
+  cfg.gmc.age_threshold = 32;
+  return cfg;
+}
+
+struct McMemoCase {
+  const char* name;
+  SchedulerKind sched;
+  bool short_age;
+};
+
+class McMemo : public ::testing::TestWithParam<McMemoCase> {
+ protected:
+  SimConfig with_case(SimConfig cfg) const {
+    return GetParam().short_age ? gmc_aged_cfg(cfg) : cfg;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedulers, McMemo,
+    ::testing::Values(McMemoCase{"GMC", SchedulerKind::kGmc, false},
+                      McMemoCase{"GMC_age32", SchedulerKind::kGmc, true},
+                      McMemoCase{"FR_FCFS", SchedulerKind::kFrFcfs, false},
+                      McMemoCase{"WG_W", SchedulerKind::kWgW, false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(McMemo, IdenticalOnBfs) {
+  expect_mc_memo_equivalent(with_case(small_cfg(GetParam().sched, "bfs")));
+}
+
+TEST_P(McMemo, IdenticalUnderWritePressure) {
+  expect_mc_memo_equivalent(with_case(small_cfg(GetParam().sched, "spmv")));
+}
+
+TEST_P(McMemo, IdenticalOnPowerlawRows) {
+  expect_mc_memo_equivalent(
+      with_case(scenario_cfg(GetParam().sched, "powerlaw-rows")));
+}
+
+TEST(McMemoSampled, IdenticalThroughSampledSkips) {
+  // Functional warming (Channel::warm_row) reopens rows under queued bank
+  // heads between detailed spans; the command memo must see it.
+  SimConfig cfg = gmc_aged_cfg(small_cfg(SchedulerKind::kGmc, "bfs"));
+  cfg.check.protocol = false;
+  cfg.check.invariants = false;
+  cfg.max_cycles = 40'000;
+  ckpt::SamplingConfig scfg;
+  scfg.warm_cycles = 1'000;
+  scfg.detail_cycles = 2'000;
+  scfg.period_cycles = 8'000;
+  auto sampled = [&](bool forget) {
+    Simulator sim(cfg);
+    ckpt::SampledRunner runner(sim, scfg);
+    runner.freeze_issue_rates(std::vector<std::uint64_t>(cfg.num_sms, 400));
+    for (Cycle start = 0; start < cfg.max_cycles;
+         start += scfg.period_cycles) {
+      advance_mc(sim,
+                 std::min(start + scfg.warm_cycles + scfg.detail_cycles,
+                          cfg.max_cycles),
+                 forget);
+      runner.skip_to(std::min(start + scfg.period_cycles, cfg.max_cycles));
+    }
+    EXPECT_GT(runner.warm_instructions(), 0u);
+    return sim.finish();
+  };
+  expect_same(sampled(/*forget=*/true), sampled(/*forget=*/false));
 }
 
 }  // namespace

@@ -157,6 +157,31 @@ TEST(Gmc, AgeThresholdRescuesStarvedRequest) {
   EXPECT_LT(miss_pos, 44u) << "aged request must pre-empt the hit stream";
 }
 
+TEST(Gmc, SkippedPassWakesOnTheAgeCrossing) {
+  // A pass that picks nothing is skipped until the selection epoch moves
+  // or a young request ages past the threshold.  Nothing else happens
+  // here: bank 0 holds one request waiting out tRCD, and the row miss
+  // queued behind it may enter only as an over-age request, on the first
+  // cycle its age exceeds the threshold.
+  GmcConfig cfg;
+  cfg.age_threshold = 4;
+  Harness h(std::make_unique<GmcPolicy>(cfg));
+  const auto& gmc = dynamic_cast<const GmcPolicy&>(h.mc.policy());
+  h.mc.push(read_to(0, 1, 0, 10), 0);
+  h.run_to(1);
+  ASSERT_EQ(h.mc.bank_queue_size(0), 1u);
+  h.mc.push(read_to(0, 9, 0, 20), 1);
+  const Cycle crossing = 1 + cfg.age_threshold + 1;
+  h.run_to(crossing);
+  EXPECT_EQ(h.mc.bank_queue_size(0), 1u) << "a young miss waits";
+  EXPECT_TRUE(gmc.skip_memo_armed(h.mc, crossing - 1));
+  EXPECT_FALSE(gmc.skip_memo_armed(h.mc, crossing));
+  h.run_to(crossing + 1);
+  EXPECT_EQ(h.mc.bank_queue_size(0), 2u)
+      << "the aged miss enters on the crossing cycle";
+  ASSERT_TRUE(h.order.empty()) << "the first read's CAS came before tRCD";
+}
+
 TEST(Gmc, ExploitsRowHitsLikeFrFcfs) {
   Harness h(std::make_unique<GmcPolicy>());
   h.mc.push(read_to(0, 1, 0, 10), 0);
